@@ -14,11 +14,11 @@ import sys
 
 from . import __version__
 from .critical import (
+    _pair_reports,
     are_equivalent,
     configuration_order,
     critical_group,
     is_cyclic,
-    pair_report,
 )
 from .firing import (
     fire,
@@ -124,16 +124,7 @@ def cmd_trees(args) -> int:
 def cmd_pairs(args) -> int:
     g = _load_graph(args)
     kg = critical_group(g)
-    reports = []
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            rep = pair_report(kg, x, y)
-            reports.append(rep)
-            if args.first and rep.generates:
-                break
-        else:
-            continue
-        break
+    reports = _pair_reports(kg)
     if args.first:
         reports = [r for r in reports if r.generates][:1]
     if args.json:
@@ -241,8 +232,7 @@ def cmd_seq(args) -> int:
         else:
             print(",".join(str(v) for v in values))
         return 0
-    k1, k2 = (int(p) for p in args.alt.split(","))
-    a, b = alternating_tables(k1, k2, args.n)
+    a, b = alternating_tables(*args.alt, args.n)
     if args.json:
         print(_emit_json({
             "A": {"label": a.label, "values": [str(v) for v in a.values]},
@@ -333,6 +323,14 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _size_pair(text: str) -> tuple[int, int]:
+    try:
+        k1, k2 = (int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two sizes k1,k2, got {text!r}") from None
+    return k1, k2
+
+
 def _add_common(p: argparse.ArgumentParser, graph_source: bool = True, config_args: int = 0) -> None:
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--quiet", action="store_true", help="print only the primary result")
@@ -365,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pairs", help="generating-pair report for all vertex pairs")
     _add_common(p)
-    p.add_argument("--first", action="store_true", help="stop at the first generating pair")
+    p.add_argument("--first", action="store_true", help="report only the first generating pair")
     p.set_defaults(func=cmd_pairs)
 
     p = sub.add_parser("order", help="order of a degree-zero configuration")
@@ -394,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--tuple", help="stack spec, e.g. 3,4")
     mode.add_argument("--const", type=int, help="constant polygon size k")
-    mode.add_argument("--alt", help="alternating sizes k1,k2")
+    mode.add_argument("--alt", type=_size_pair, help="alternating sizes k1,k2")
     p.add_argument("--n", type=int, default=10, help="last index to tabulate")
     p.add_argument("--closed-form", action="store_true",
                    help="evaluate the constant-k closed form instead of the recurrence")

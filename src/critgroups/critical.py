@@ -1,18 +1,21 @@
 """Critical groups of connected multigraphs.
 
 The group of a graph on n vertices is Z^{n-1} modulo the column span of the
-reduced Laplacian; its structure is read off the Smith normal form, which we
-keep around so element orders and equivalence queries stay cheap.
+reduced Laplacian. Its Smith normal form U L V = D gives the invariant
+factors d_i, and row i of U, taken mod d_i, maps a configuration to its
+coordinate in Z/d_i. A `CriticalGroup` keeps only those rows for the
+nontrivial factors, so element orders, equivalence and pair reports all
+come from one lcm over the coordinates (Cohen, GTM 138, section 2.4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Multigraph, is_connected
-from .linalg import IntMatrix, SnfDecomposition, smith_normal_form
+from .linalg import IntMatrix, smith_normal_form
 
 
 def reduced_laplacian(g: Multigraph, q: int) -> IntMatrix:
@@ -39,38 +42,40 @@ def reduced_laplacian(g: Multigraph, q: int) -> IntMatrix:
 
 @dataclass
 class CriticalGroup:
-    """Invariant factors and the SNF data backing order/equivalence queries."""
+    """Invariant factors d_i > 1 and, for each, row i of U reduced mod d_i.
+
+    Each row has length n with a 0 at the deleted vertex, so a full-length
+    configuration c has coordinate sum(row[v] * c[v]) in Z/d_i.
+    """
 
     invariant_factors: list[int]
     order: int
     deleted_vertex: int
-    snf: SnfDecomposition
     n: int
-
-    def restrict(self, c: Sequence[int]) -> list[int]:
-        """Drop the deleted vertex's entry from a full configuration."""
-        if len(c) != self.n:
-            raise ValueError(f"configuration length {len(c)} != n={self.n}")
-        return [int(x) for i, x in enumerate(c) if i != self.deleted_vertex]
+    rows: list[list[int]]
 
 
 def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
     """Critical group of a connected multigraph (trivial for one vertex)."""
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
     if q is None:
         q = g.n - 1
     if g.n == 1:
-        empty = smith_normal_form(IntMatrix(0, 0, []))
-        return CriticalGroup([], 1, 0, empty, 1)
+        return CriticalGroup([], 1, 0, 1, [])
     dec = smith_normal_form(reduced_laplacian(g, q))
-    diag = dec.diagonal()
+    u, m = dec.u.entries, g.n - 1
+    factors: list[int] = []
+    rows: list[list[int]] = []
     order = 1
-    for d in diag:
+    for i, d in enumerate(dec.diagonal()):
         order *= d
+        if d > 1:
+            row = [x % d for x in u[i * m:(i + 1) * m]]
+            row.insert(q, 0)
+            factors.append(d)
+            rows.append(row)
     if order == 0:
         raise ValueError("reduced Laplacian is singular; graph not connected?")
-    return CriticalGroup([d for d in diag if d > 1], order, q, dec, g.n)
+    return CriticalGroup(factors, order, q, g.n, rows)
 
 
 def is_cyclic(kg: CriticalGroup) -> bool:
@@ -89,14 +94,18 @@ def delta_config(g: Multigraph, x: int, y: int) -> list[int]:
     return c
 
 
+def _order(kg: CriticalGroup, w: Iterable[int]) -> int:
+    """Order of the element with coordinates w in the sum of the Z/d_i."""
+    return lcm(*(d // gcd(d, wi) for d, wi in zip(kg.invariant_factors, w)))
+
+
 def configuration_order(kg: CriticalGroup, c: Sequence[int]) -> int:
     """Order of a degree-zero configuration's class in the critical group."""
     if sum(c) != 0:
         raise ValueError(f"configuration must have degree 0, got {sum(c)}")
-    b = kg.restrict(c)
-    w = kg.snf.u.mult_vector(b)
-    diag = kg.snf.diagonal()
-    return lcm(*(d // gcd(d, wi) for d, wi in zip(diag, w))) if diag else 1
+    if len(c) != kg.n:
+        raise ValueError(f"configuration length {len(c)} != n={kg.n}")
+    return _order(kg, (sum(r * x for r, x in zip(row, c)) for row in kg.rows))
 
 
 def are_equivalent(kg: CriticalGroup, c1: Sequence[int], c2: Sequence[int]) -> bool:
@@ -105,8 +114,7 @@ def are_equivalent(kg: CriticalGroup, c1: Sequence[int], c2: Sequence[int]) -> b
         raise ValueError(f"configurations must have length {kg.n}")
     if sum(c1) != sum(c2):
         return False
-    b = [a - b_ for a, b_ in zip(kg.restrict(c1), kg.restrict(c2))]
-    return kg.snf.image_contains(b)
+    return configuration_order(kg, [a - b for a, b in zip(c1, c2)]) == 1
 
 
 @dataclass
@@ -120,55 +128,32 @@ class PairReport:
 def pair_report(kg: CriticalGroup, x: int, y: int) -> PairReport:
     if x == y or not (0 <= x < kg.n and 0 <= y < kg.n):
         raise ValueError(f"invalid vertex pair ({x},{y}) for n={kg.n}")
-    c = [0] * kg.n
-    c[x] = 1
-    c[y] = -1
-    order = configuration_order(kg, c)
+    order = _order(kg, (row[x] - row[y] for row in kg.rows))
     return PairReport(x, y, order, order == kg.order)
 
 
 def find_generating_pairs(g: Multigraph) -> list[PairReport]:
     """Reports for every unordered vertex pair, in lexicographic order."""
-    kg = critical_group(g)
-    return [pair_report(kg, x, y) for x in range(g.n) for y in range(x + 1, g.n)]
+    return _pair_reports(critical_group(g))
+
+
+def _pair_reports(kg: CriticalGroup) -> list[PairReport]:
+    return [pair_report(kg, x, y) for x in range(kg.n) for y in range(x + 1, kg.n)]
 
 
 # ----------------------------------------------------------------------------
 # Direct sums (wedge-sum comparisons)
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def direct_sum_factors(fs1: Sequence[int], fs2: Sequence[int]) -> list[int]:
     """Invariant factors of the direct sum of two invariant-factor lists.
 
-    Merges the prime-power multisets and rebuilds the divisibility chain:
-    the largest factor takes each prime's largest exponent, and so on.
+    Replacing a pair (a, b) by (gcd, lcm) keeps every prime's multiset of
+    exponents; doing it for every i < j leaves each prime's exponents in
+    ascending order, which is the divisibility chain.
     """
-    exps: dict[int, list[int]] = {}
-    for f in list(fs1) + list(fs2):
-        if f <= 1:
-            continue
-        for p, e in _factorize(f).items():
-            exps.setdefault(p, []).append(e)
-    depth = max((len(v) for v in exps.values()), default=0)
-    chain = []
-    for slot in range(depth):
-        f = 1
-        for p, es in exps.items():
-            es_sorted = sorted(es, reverse=True)
-            if slot < len(es_sorted):
-                f *= p ** es_sorted[slot]
-        chain.append(f)
-    return sorted(chain)
+    fs = sorted(f for f in (*fs1, *fs2) if f > 1)
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            fs[i], fs[j] = gcd(fs[i], fs[j]), lcm(fs[i], fs[j])
+    return [f for f in fs if f > 1]

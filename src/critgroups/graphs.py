@@ -198,10 +198,6 @@ class StackGraph:
     paths: list[list[int]] = field(default_factory=list)
     level_positions: list[int] = field(default_factory=list)
 
-    @property
-    def levels(self) -> int:
-        return len(self.paths)
-
 
 def check_stack_spec(ks: Sequence[int]) -> tuple[int, ...]:
     spec = tuple(int(k) for k in ks)
@@ -279,21 +275,23 @@ def parse_graph(text: str) -> Multigraph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] == "n":
+        head, *fields = line.split()
+        if head not in ("n", "e"):
+            raise ValueError(f"line {lineno}: unknown directive {head!r}")
+        try:
+            nums = [int(f) for f in fields]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if head == "n":
             if n is not None:
                 raise ValueError(f"line {lineno}: duplicate n line")
-            if len(parts) != 2:
+            if len(nums) != 1:
                 raise ValueError(f"line {lineno}: expected 'n <count>'")
-            n = int(parts[1])
-        elif parts[0] == "e":
-            if len(parts) not in (3, 4):
-                raise ValueError(f"line {lineno}: expected 'e <u> <v> [mult]'")
-            u, v = int(parts[1]), int(parts[2])
-            m = int(parts[3]) if len(parts) == 4 else 1
-            triples.append((u, v, m))
+            n = nums[0]
         else:
-            raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
+            if len(nums) not in (2, 3):
+                raise ValueError(f"line {lineno}: expected 'e <u> <v> [mult]'")
+            triples.append((nums[0], nums[1], nums[2] if len(nums) == 3 else 1))
     if n is None:
         raise ValueError("missing 'n <count>' line")
     return Multigraph(n, triples)

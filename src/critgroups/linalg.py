@@ -235,7 +235,9 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
                 U[i] = [x * ai + y * bi for ai, bi in zip(ui, uj)]
                 U[i + 1] = [(-q // g) * ai + (p // g) * bi for ai, bi in zip(ui, uj)]
                 add_col(i + 1, i, -(y * q // g))
-                assert M[i][i] == g and M[i + 1][i + 1] == lcm
+                if M[i][i] != g or M[i + 1][i + 1] != lcm:
+                    raise ArithmeticError(f"SNF repair of diagonal entries {i} and {i + 1} "
+                                          f"gave {M[i][i]}, {M[i + 1][i + 1]}; expected {g}, {lcm}")
                 changed = True
 
     d = [[M[i][j] if i == j else 0 for j in range(n)] for i in range(m)]

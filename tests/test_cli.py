@@ -214,15 +214,21 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     assert code == 1
     code, _, err = run(capsys, "group")
     assert code == 1  # no source given
+    bad.write_text("n 3\ne 0 x\n")
+    code, _, err = run(capsys, "group", str(bad))
+    assert code == 1 and "line 2:" in err and "'x'" in err
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["seq"])  # missing required mode
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["seq", "--alt", "3"])  # one size where two are needed
+    assert exc.value.code == 2 and "--alt" in capsys.readouterr().err
 
 
 def test_stdin_graph(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import itertools
 import random
 from collections import deque
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -23,6 +23,8 @@ from critgroups import (
     polygon_stack,
     random_connected_multigraph,
     reduced_laplacian,
+    smith_normal_form,
+    solve_image_membership,
     wedge_sum,
 )
 
@@ -227,6 +229,9 @@ def test_direct_sum_factors():
     assert direct_sum_factors([2], [4]) == [2, 4]
     assert direct_sum_factors([6], [4]) == [2, 12]
     assert direct_sum_factors([], []) == []
+    p, q = 2**31 - 1, 2147483629  # both prime: trial division would not finish
+    assert direct_sum_factors([6 * p * q], [4 * p]) == [2 * p, 12 * p * q]
+    assert direct_sum_factors([p * q], [3]) == [3 * p * q]
 
 
 def test_wedge_lemma():
@@ -259,3 +264,47 @@ def test_path_addition_theorem_small():
             chain = [x] + list(range(g.n, g.n + ell - 1)) + [y]
             for a, b in zip(chain, chain[1:]):
                 assert pair_report(kg, a, b).generates
+
+
+def test_queries_match_snf_reference():
+    """Every query against U and D of the full SNF, for several deleted vertices."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(23)
+    for _ in range(200):
+        g = random_connected_multigraph(rng, 7, 3)
+        n = g.n
+        oracle = invariant_factors(sympy.Matrix(reduced_laplacian(g, 0).to_rows()), domain=sympy.ZZ)
+        factors = [int(f) for f in oracle if f != 1]
+        for q in sorted({0, n // 2, n - 1}):
+            kg = critical_group(g, q)
+            assert (kg.deleted_vertex, kg.invariant_factors) == (q, factors)
+            a = reduced_laplacian(g, q)
+            dec = smith_normal_form(a)
+
+            def restrict(c):
+                return [x for i, x in enumerate(c) if i != q]
+
+            def ref_order(c):
+                w = dec.u.mult_vector(restrict(c))
+                return lcm(*(d // gcd(d, wi) for d, wi in zip(dec.diagonal(), w)))
+
+            orders = {}
+            for x in range(n):
+                for y in range(x + 1, n):
+                    rep = pair_report(kg, x, y)
+                    orders[x, y] = ref_order(delta_config(g, x, y))
+                    assert (rep.element_order, rep.generates) == (orders[x, y], orders[x, y] == kg.order)
+            c1 = [rng.randint(-3, 3) for _ in range(n)]
+            c1[rng.randrange(n)] -= sum(c1)
+            (x, y), o = rng.choice(sorted(orders.items()))
+            c_multiple = [ci + o * di for ci, di in zip(c1, delta_config(g, x, y))]
+            c_fired = fire(g, c1, rng.randrange(n), rng.randint(-2, 2))
+            c_random = [rng.randint(-3, 3) for _ in range(n)]
+            c_random[rng.randrange(n)] -= sum(c_random)
+            for c2 in (c_multiple, c_fired, c_random):
+                diff = [u - v for u, v in zip(c1, c2)]
+                assert configuration_order(kg, diff) == ref_order(diff)
+                assert are_equivalent(kg, c1, c2) == solve_image_membership(a, restrict(diff))
+            assert are_equivalent(kg, c1, c_multiple) and are_equivalent(kg, c1, c_fired)

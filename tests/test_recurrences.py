@@ -113,9 +113,13 @@ def test_alternating_tables():
     assert a.values[2] == 109 == tree_count((3, 4, 3, 4))
     for k1 in range(2, 6):
         for k2 in range(2, 6):
-            at, bt = alternating_tables(k1, k2, 1)
-            assert at.values == [1, k1 * k2 - 1]
-            assert bt.values == [0, k1]
+            at, bt = alternating_tables(k1, k2, 6)
+            assert at.values[:2] == [1, k1 * k2 - 1]
+            assert bt.values[:2] == [0, k1]
+            # both sequences satisfy X_n = (k1*k2 - 2)*X_{n-1} - X_{n-2}
+            for xs in (at.values, bt.values):
+                for n in range(2, 7):
+                    assert xs[n] == (k1 * k2 - 2) * xs[n - 1] - xs[n - 2]
     with pytest.raises(ValueError):
         alternating_tables(1, 4, 2)
 
