@@ -44,6 +44,7 @@ from .recurrences import (
     tree_count,
 )
 from .verify import (
+    _tree_count,
     brute_spanning_trees,
     lorenzini_check,
     lorenzini_path_check,
@@ -104,7 +105,7 @@ def cmd_group(args) -> int:
 
 def cmd_trees(args) -> int:
     g = _load_graph(args)
-    count = critical_group(g).order
+    count = _tree_count(g)
     brute = brute_spanning_trees(g, limit=args.limit) if args.brute else None
     if brute is not None and brute != count:
         print(f"error: determinant count {count} != enumeration count {brute}", file=sys.stderr)

@@ -12,6 +12,16 @@ def _key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _check_edge(n: int, u: int, v: int, m: int, where: str = "") -> None:
+    """Refuse a self-loop, an endpoint outside 0..n-1 or a multiplicity < 1."""
+    if u == v:
+        raise ValueError(f"{where}self-loop at vertex {u} is not allowed")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"{where}edge ({u},{v}) out of range for n={n}")
+    if m < 1:
+        raise ValueError(f"{where}edge ({u},{v}) has multiplicity {m} < 1")
+
+
 class Multigraph:
     """Undirected multigraph on vertices 0..n-1.
 
@@ -25,46 +35,33 @@ class Multigraph:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         self.n = n
         table: dict[tuple[int, int], int] = {}
-        if isinstance(edges, Mapping):
-            items = [(u, v, m) for (u, v), m in edges.items()]
-        else:
-            items = []
-            for e in edges:
-                if len(e) == 2:
-                    u, v = e
-                    items.append((u, v, 1))
-                else:
-                    u, v, m = e
-                    items.append((u, v, m))
-        for u, v, m in items:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u} is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if m < 1:
-                raise ValueError(f"edge ({u},{v}) has multiplicity {m} < 1")
+        items = [(*k, m) for k, m in edges.items()] if isinstance(edges, Mapping) else edges
+        for e in items:
+            u, v, m = e if len(e) == 3 else (*e, 1)
+            _check_edge(n, u, v, m)
             k = _key(u, v)
             table[k] = table.get(k, 0) + m
         self._edges = table
-        adj: dict[int, dict[int, int]] = {v: {} for v in range(n)}
+        # only vertices with edges get entries, so storage grows with the edges, not n
+        adj: dict[int, dict[int, int]] = {}
         for (u, v), m in table.items():
-            adj[u][v] = m
-            adj[v][u] = m
+            adj.setdefault(u, {})[v] = m
+            adj.setdefault(v, {})[u] = m
         self._adj = adj
-        self._deg = [sum(adj[v].values()) for v in range(n)]
+        self._deg = {v: sum(nbrs.values()) for v, nbrs in adj.items()}
 
     def multiplicity(self, u: int, v: int) -> int:
         return self._edges.get(_key(u, v), 0)
 
     def degree(self, v: int) -> int:
-        return self._deg[v]
+        return self._deg.get(v, 0)
 
     def neighbors(self, v: int) -> list[int]:
-        return sorted(self._adj[v])
+        return sorted(self._adj.get(v, ()))
 
     def incident(self, v: int) -> list[tuple[int, int]]:
         """Sorted (neighbor, multiplicity) pairs for vertex v."""
-        return sorted(self._adj[v].items())
+        return sorted(self._adj.get(v, {}).items())
 
     def edge_items(self) -> list[tuple[tuple[int, int], int]]:
         """Sorted ((u, v), multiplicity) pairs with u < v."""
@@ -270,7 +267,7 @@ def parse_graph(text: str) -> Multigraph:
     comment. Repeated `e` lines for the same pair accumulate multiplicity.
     """
     n = None
-    triples: list[tuple[int, int, int]] = []
+    edges: list[tuple[int, int, int, int]] = []  # (line, u, v, multiplicity)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -291,10 +288,12 @@ def parse_graph(text: str) -> Multigraph:
         else:
             if len(nums) not in (2, 3):
                 raise ValueError(f"line {lineno}: expected 'e <u> <v> [mult]'")
-            triples.append((nums[0], nums[1], nums[2] if len(nums) == 3 else 1))
+            edges.append((lineno, nums[0], nums[1], nums[2] if len(nums) == 3 else 1))
     if n is None:
         raise ValueError("missing 'n <count>' line")
-    return Multigraph(n, triples)
+    for lineno, u, v, m in edges:
+        _check_edge(n, u, v, m, f"line {lineno}: ")
+    return Multigraph(n, [e[1:] for e in edges])
 
 
 def format_graph(g: Multigraph) -> str:

@@ -1,6 +1,8 @@
 """Independent oracles and consistency harnesses: brute-force spanning
 structure counts, the edge-deletion coprimality predicates, and the seeded
-search for generating-pair counterexamples.
+search for generating-pair counterexamples. Every edge deletion goes through
+one report, whose |K(G_1)| is the matrix-tree determinant of the reduced
+Laplacian; only the base graph gets a critical group.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from itertools import combinations
 from math import gcd
 from typing import Iterator
 
-from .critical import critical_group, is_cyclic, pair_report
+from .critical import CriticalGroup, critical_group, is_cyclic, pair_report, reduced_laplacian
 from .graphs import Multigraph, add_path, delete_edges, is_connected
+from .linalg import determinant
 
 
 class _UnionFind:
@@ -35,10 +38,13 @@ class _UnionFind:
         return True
 
 
-def _edge_instances(g: Multigraph) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    for (u, v), m in g.edge_items():
-        out.extend([(u, v)] * m)
+def _edge_instances(g: Multigraph, limit: int) -> list[tuple[int, int]]:
+    """Edges of a connected g, parallel ones repeated; at most `limit` of them."""
+    if not is_connected(g):
+        raise ValueError("graph must be connected")
+    out = [e for e, m in g.edge_items() for _ in range(m)]
+    if len(out) > limit:
+        raise ValueError(f"{len(out)} edges exceeds enumeration limit {limit}")
     return out
 
 
@@ -48,11 +54,7 @@ def brute_spanning_trees(g: Multigraph, limit: int = 20) -> int:
     Parallel edges count as distinct instances, matching the matrix-tree
     determinant. Refuses graphs with more than `limit` edge instances.
     """
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-    instances = _edge_instances(g)
-    if len(instances) > limit:
-        raise ValueError(f"{len(instances)} edges exceeds enumeration limit {limit}")
+    instances = _edge_instances(g, limit)
     if g.n == 1:
         return 1
     count = 0
@@ -65,15 +67,11 @@ def brute_spanning_trees(g: Multigraph, limit: int = 20) -> int:
 
 def brute_spanning_forests(g: Multigraph, x: int, y: int, limit: int = 20) -> int:
     """Count two-tree spanning forests separating roots x and y."""
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
+    instances = _edge_instances(g, limit)
     if x == y:
         raise ValueError("roots must be distinct")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError(f"roots ({x},{y}) out of range for n={g.n}")
-    instances = _edge_instances(g)
-    if len(instances) > limit:
-        raise ValueError(f"{len(instances)} edges exceeds enumeration limit {limit}")
     count = 0
     for subset in combinations(instances, g.n - 2):
         uf = _UnionFind(g.n)
@@ -90,9 +88,9 @@ def brute_spanning_forests(g: Multigraph, x: int, y: int, limit: int = 20) -> in
 class LorenziniReport:
     """Coprimality data for a vertex pair joined by c > 0 edges.
 
-    When deleting the x-y edges disconnects the graph the deleted-graph
-    order is recorded as 0, coprime as False, and pair_generates as None
-    (not applicable).
+    order_g1 is the matrix-tree determinant of the graph with the x-y edges
+    deleted. When the deletion disconnects the graph it is 0, coprime is
+    False, and pair_generates is None (not applicable).
     """
 
     x: int
@@ -106,32 +104,37 @@ class LorenziniReport:
     g1_connected: bool
 
 
-def lorenzini_check(g: Multigraph, x: int, y: int) -> LorenziniReport:
-    mult = g.multiplicity(x, y)
-    if mult <= 0:
-        raise ValueError(f"vertices {x} and {y} must be joined by at least one edge")
-    kg = critical_group(g)
-    g1 = delete_edges(g, x, y)
-    connected = is_connected(g1)
-    if connected:
-        order_g1 = critical_group(g1).order
-        coprime = gcd(kg.order, order_g1) == 1
-        generates: bool | None = pair_report(kg, x, y).generates
-    else:
-        order_g1 = 0
-        coprime = False
-        generates = None
+def _tree_count(g: Multigraph) -> int:
+    """Spanning-tree count: the reduced-Laplacian determinant, 0 when the
+    graph is disconnected and 1 for a single vertex."""
+    if g.n == 1:
+        return 1
+    if not is_connected(g):
+        return 0
+    return determinant(reduced_laplacian(g, g.n - 1))
+
+
+def _deletion_report(g: Multigraph, kg: CriticalGroup, x: int, y: int) -> LorenziniReport:
+    """Report for deleting every x-y edge of g, whose critical group is kg."""
+    order_g1 = _tree_count(delete_edges(g, x, y))
+    connected = order_g1 > 0
     return LorenziniReport(
         x=x,
         y=y,
-        multiplicity=mult,
+        multiplicity=g.multiplicity(x, y),
         order_g=kg.order,
         order_g1=order_g1,
-        coprime=coprime,
+        coprime=connected and gcd(kg.order, order_g1) == 1,
         cyclic_g=is_cyclic(kg),
-        pair_generates=generates,
+        pair_generates=pair_report(kg, x, y).generates if connected else None,
         g1_connected=connected,
     )
+
+
+def lorenzini_check(g: Multigraph, x: int, y: int) -> LorenziniReport:
+    if g.multiplicity(x, y) <= 0:
+        raise ValueError(f"vertices {x} and {y} must be joined by at least one edge")
+    return _deletion_report(g, critical_group(g), x, y)
 
 
 @dataclass
@@ -159,15 +162,10 @@ def lorenzini_path_check(g: Multigraph, x: int, y: int, length: int) -> Lorenzin
         raise ValueError("hypothesis fails: deleted graph must be connected with coprime order")
     gp = add_path(g, x, y, length)
     kgp = critical_group(gp)
-    if length == 1:
-        pairs = [(x, y)]
-    else:
-        chain = [x] + list(range(g.n, g.n + length - 1)) + [y]
-        pairs = list(zip(chain, chain[1:]))
+    chain = [x] + list(range(g.n, g.n + length - 1)) + [y]
     checks = []
-    for a, b in pairs:
-        g1p = delete_edges(gp, a, b, count=1)
-        order = critical_group(g1p).order
+    for a, b in zip(chain, chain[1:]):
+        order = _tree_count(delete_edges(gp, a, b, count=1))
         checks.append(ChainCheck((a, b), order, gcd(base.order_g1, order) == 1))
     return LorenziniPathReport(
         base=base,
@@ -197,11 +195,9 @@ def random_connected_multigraph(rng: random.Random, max_vertices: int, max_extra
             break
     for _ in range(rng.randint(0, max_extra_edges)):
         u, v = rng.sample(range(n), 2)
-        edges_d = g.edge_dict()
         key = (u, v) if u < v else (v, u)
-        edges_d[key] = edges_d.get(key, 0) + 1
-        g = Multigraph(n, edges_d)
-    return g
+        edges[key] = edges.get(key, 0) + 1
+    return Multigraph(n, edges)
 
 
 def enumerate_connected_simple_graphs(max_vertices: int) -> Iterator[Multigraph]:
@@ -257,19 +253,14 @@ def coprime_pair_search(
     coprime_count = 0
     counterexamples: list[tuple[Multigraph, tuple[int, int]]] = []
     for g in graphs:
-        if g.n < 2:
-            continue
         kg = critical_group(g)
         for (x, y), _m in g.edge_items():
             examined += 1
-            g1 = delete_edges(g, x, y)
-            if not is_connected(g1):
-                continue
-            if gcd(kg.order, critical_group(g1).order) != 1:
-                continue
-            coprime_count += 1
-            if not pair_report(kg, x, y).generates:
-                counterexamples.append((g, (x, y)))
+            rep = _deletion_report(g, kg, x, y)
+            if rep.coprime:
+                coprime_count += 1
+                if not rep.pair_generates:
+                    counterexamples.append((g, (x, y)))
     return SearchOutcome(examined, coprime_count, counterexamples, seed, params)
 
 

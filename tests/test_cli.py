@@ -39,6 +39,8 @@ def test_group_single_vertex(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["invariant_factors"] == [] and doc["order"] == "1"
+    code, out, _ = run(capsys, "trees", str(path))
+    assert code == 0 and out.strip() == "1"
 
 
 def test_group_wedge357_file(capsys, tmp_path):
@@ -61,6 +63,12 @@ def test_trees_brute(capsys, tmp_path):
     assert out.splitlines()[0] == "11"
     code, out, _ = run(capsys, "trees", "--stack", "4")
     assert code == 0 and out.strip() == "4"
+    apart = tmp_path / "apart.txt"
+    apart.write_text("n 4\ne 0 1\ne 2 3\n")
+    code, out, _ = run(capsys, "trees", str(apart))
+    assert code == 0 and out.strip() == "0"  # a disconnected graph has no spanning tree
+    code, _, err = run(capsys, "trees", str(apart), "--brute")
+    assert code == 1 and "connected" in err
 
 
 def test_pairs_cycle(capsys):
@@ -217,6 +225,9 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     bad.write_text("n 3\ne 0 x\n")
     code, _, err = run(capsys, "group", str(bad))
     assert code == 1 and "line 2:" in err and "'x'" in err
+    bad.write_text("n 3\ne 1 5\n")
+    code, _, err = run(capsys, "group", str(bad))
+    assert code == 1 and "line 2:" in err and "(1,5)" in err
 
 
 def test_usage_errors_exit_2(capsys):

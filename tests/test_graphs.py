@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import tracemalloc
 
 import pytest
 
@@ -187,6 +189,27 @@ def test_graph_text_roundtrip():
         parse_graph("e 0 1\n")
     with pytest.raises(ValueError):
         parse_graph("n 2\nx 0 1\n")
+    for text, message in (
+        ("n 3\ne 0 1\ne 1 5\n", "line 3: edge (1,5) out of range"),
+        ("n 3\n\ne 2 2\n", "line 3: self-loop at vertex 2"),
+        ("e 0 1 0\nn 3\n", "line 1: edge (0,1) has multiplicity 0"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_graph(text)
+
+
+def test_storage_grows_with_edges_not_n():
+    tracemalloc.start()
+    try:
+        g = parse_graph("n 1000000\ne 0 1\n")
+        with pytest.raises(ValueError, match="graph must be connected"):
+            critical_group(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert g.degree(0) == 1 and g.neighbors(1) == [0] and g.incident(0) == [(1, 1)]
+    assert g.degree(7) == 0 and g.neighbors(7) == [] and g.incident(7) == []
 
 
 def test_parse_stack_spec():

@@ -8,8 +8,10 @@ from critgroups import (
     brute_spanning_trees,
     critical_group,
     cycle_graph,
+    delete_edges,
     enumerate_connected_simple_graphs,
     forest_count,
+    is_connected,
     lorenzini_check,
     lorenzini_path_check,
     polygon_stack,
@@ -88,6 +90,39 @@ def test_lorenzini_check_disconnecting_edge():
     assert rep.pair_generates is None
     with pytest.raises(ValueError):
         lorenzini_check(g, 0, 3)  # no edge there
+    # a tree: |K(G)| = 1 and gcd(1, 0) = 1, yet the deletion is not coprime
+    rep = lorenzini_check(Multigraph(3, {(0, 1): 1, (1, 2): 1}), 0, 1)
+    assert rep.order_g1 == 0 and rep.coprime is False
+
+
+def _deletion_cases():
+    rng = random.Random(12)
+    multigraphs = [random_connected_multigraph(rng, 7, 3) for _ in range(200)]
+    return list(enumerate_connected_simple_graphs(5)), multigraphs
+
+
+def test_deletion_orders_match_snf_reference():
+    simple, multigraphs = _deletion_cases()
+    for g in simple + multigraphs:
+        for (x, y), _ in g.edge_items():
+            rep = lorenzini_check(g, x, y)
+            g1 = delete_edges(g, x, y)
+            if is_connected(g1):
+                assert rep.order_g1 == critical_group(g1).order
+            else:
+                assert rep.order_g1 == 0 and rep.coprime is False
+
+
+def test_deletion_orders_match_networkx():
+    nx = pytest.importorskip("networkx")
+    _, multigraphs = _deletion_cases()
+    for g in multigraphs:
+        for (x, y), _ in g.edge_items():
+            g1 = nx.MultiGraph()
+            g1.add_nodes_from(range(g.n))
+            for (u, v), m in delete_edges(g, x, y).edge_items():
+                g1.add_edges_from([(u, v)] * m)
+            assert lorenzini_check(g, x, y).order_g1 == round(nx.number_of_spanning_trees(g1))
 
 
 def test_lorenzini_coprime_implies_cyclic_on_small_graphs():
@@ -118,6 +153,8 @@ def test_coprime_pair_search_determinism():
     assert [(g.edge_items(), pair) for g, pair in a.counterexamples] == [
         (g.edge_items(), pair) for g, pair in b.counterexamples
     ]
+    batch = coprime_pair_search(9, 2, trials=80, seed=3)
+    assert (batch.examined, batch.coprime_instances) == (774, 298)
     empty = coprime_pair_search(5, 2, trials=0, seed=7)
     assert empty.examined == 0 and empty.counterexamples == []
 
