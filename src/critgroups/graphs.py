@@ -285,6 +285,8 @@ def parse_graph(text: str) -> Multigraph:
             if len(nums) != 1:
                 raise ValueError(f"line {lineno}: expected 'n <count>'")
             n = nums[0]
+            if n < 0:
+                raise ValueError(f"line {lineno}: vertex count must be nonnegative, got {n}")
         else:
             if len(nums) not in (2, 3):
                 raise ValueError(f"line {lineno}: expected 'e <u> <v> [mult]'")

@@ -9,7 +9,6 @@ floating-point or fixed-width path anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
 
 
@@ -139,8 +138,12 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     """Smith normal form with unimodular transforms.
 
     Pivots are chosen as the smallest nonzero absolute value of the
-    remaining submatrix, which keeps coefficient growth tame; a final
-    repair pass restores the divisibility chain with gcd/lcm 2x2 blocks.
+    remaining submatrix, which keeps coefficient growth tame. A cleared pivot
+    that does not divide the rest of the submatrix takes in the offending row
+    and is reduced again, to a smaller value. So each finished pivot divides
+    every entry left, hence every later diagonal entry, and d_i | d_{i+1}
+    holds on exit (Cohen, GTM 138, section 2.4, the Smith normal form
+    algorithm).
     """
     m, n = a.rows, a.cols
     M = a.to_rows()
@@ -213,32 +216,14 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
                 j = min(dirty, key=lambda c: abs(M[t][c]))
                 swap_cols(t, j)
                 continue
+            if pivot > 1:
+                i = next((i for i in range(t + 1, m)
+                          if any(x % pivot for x in M[i][t + 1:])), None)
+                if i is not None:
+                    add_row(t, i, 1)
+                    continue
             break
         t += 1
-
-    # Repair the divisibility chain pairwise; zeros already trail.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(limit - 1):
-            p, q = M[i][i], M[i + 1][i + 1]
-            if p and q and q % p != 0:
-                g = gcd(p, q)
-                lcm = p * q // g
-                x, y = _bezout(p, q)
-                add_col(i, i + 1, 1)
-                # [[x, y], [-q/g, p/g]] is unimodular: x*p/g + y*q/g = 1
-                ri, rj = M[i][:], M[i + 1][:]
-                M[i] = [x * ai + y * bi for ai, bi in zip(ri, rj)]
-                M[i + 1] = [(-q // g) * ai + (p // g) * bi for ai, bi in zip(ri, rj)]
-                ui, uj = U[i][:], U[i + 1][:]
-                U[i] = [x * ai + y * bi for ai, bi in zip(ui, uj)]
-                U[i + 1] = [(-q // g) * ai + (p // g) * bi for ai, bi in zip(ui, uj)]
-                add_col(i + 1, i, -(y * q // g))
-                if M[i][i] != g or M[i + 1][i + 1] != lcm:
-                    raise ArithmeticError(f"SNF repair of diagonal entries {i} and {i + 1} "
-                                          f"gave {M[i][i]}, {M[i + 1][i + 1]}; expected {g}, {lcm}")
-                changed = True
 
     d = [[M[i][j] if i == j else 0 for j in range(n)] for i in range(m)]
     return SnfDecomposition(
@@ -246,21 +231,6 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
         d=IntMatrix.from_rows(d) if m and n else IntMatrix(m, n, []),
         v=IntMatrix.from_rows(V) if n else IntMatrix(0, 0, []),
     )
-
-
-def _bezout(p: int, q: int) -> tuple[int, int]:
-    """x, y with x*p + y*q == gcd(p, q)."""
-    old_r, r = p, q
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-        old_y, y = y, old_y - quot * y
-    if old_r < 0:
-        old_x, old_y = -old_x, -old_y
-    return old_x, old_y
 
 
 def solve_image_membership(a: IntMatrix, b: Sequence[int]) -> bool:

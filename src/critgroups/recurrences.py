@@ -126,17 +126,21 @@ class SequenceTable:
     values: list[int]
 
 
+def _prefix_counts(spec: Sequence[int]) -> list[int]:
+    """Tree counts of every prefix of the stack spec, the empty one first."""
+    counts = [0, 1]  # a virtual T at length -1, then T of the empty stack
+    for k in spec:
+        counts.append(k * counts[-1] - counts[-2])
+    return counts[1:]
+
+
 def tree_count(ks: Sequence[int]) -> int:
     """Spanning trees of the polygon stack (k_1, ..., k_n).
 
     Uses the two-term recurrence T(k_1..k_n) = k_n*T(k_1..k_{n-1}) -
     T(k_1..k_{n-2}) seeded with T() = 1 and T(k_1) = k_1.
     """
-    spec = check_stack_spec(ks)
-    prev2, prev = 0, 1  # virtual T at length -1, then T of the empty stack
-    for k in spec:
-        prev2, prev = prev, k * prev - prev2
-    return prev
+    return _prefix_counts(check_stack_spec(ks))[-1]
 
 
 def forest_count(ks: Sequence[int]) -> int:
@@ -145,7 +149,8 @@ def forest_count(ks: Sequence[int]) -> int:
     spec = check_stack_spec(ks)
     if not spec:
         raise ValueError("forest count needs a nonempty stack spec")
-    return tree_count(spec) - tree_count(spec[:-1])
+    p = _prefix_counts(spec)
+    return p[-1] - p[-2]
 
 
 def constant_k_table(k: int, n_max: int) -> SequenceTable:
@@ -154,10 +159,7 @@ def constant_k_table(k: int, n_max: int) -> SequenceTable:
         raise ValueError(f"polygon size must be >= 2, got {k}")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    vals = [1, k]
-    while len(vals) <= n_max:
-        vals.append(k * vals[-1] - vals[-2])
-    return SequenceTable(f"T(k={k})", vals[: n_max + 1])
+    return SequenceTable(f"T(k={k})", _prefix_counts((k,) * n_max))
 
 
 def constant_k_closed_form(k: int, n: int) -> int:
@@ -194,23 +196,17 @@ def alternating_tables(k1: int, k2: int, n_max: int) -> tuple[SequenceTable, Seq
     """Tree counts of alternating stacks.
 
     A_n counts the stack with n k1-gons and n k2-gons alternating
-    (starting with k1); B_n the stack with n k1-gons and n-1 k2-gons.
-    Built from the coupled pair A_n = k2*B_n - A_{n-1} and
-    B_n = k1*A_{n-1} - B_{n-1}. Both sequences also satisfy the decoupled
-    recurrence X_n = (k1*k2 - 2)*X_{n-1} - X_{n-2}.
+    (starting with k1); B_n the stack with n k1-gons and n-1 k2-gons, with
+    B_0 = 0. Both are prefix counts of the stack (k1, k2, k1, k2, ...),
+    A_n of its even prefixes and B_n of its odd ones. Both sequences also
+    satisfy the decoupled recurrence X_n = (k1*k2 - 2)*X_{n-1} - X_{n-2}.
     """
     if k1 < 2 or k2 < 2:
         raise ValueError(f"polygon sizes must be >= 2, got ({k1},{k2})")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    a_vals = [1]
-    b_vals = [0]
-    for n in range(1, n_max + 1):
-        b = k1 * a_vals[n - 1] - b_vals[n - 1]
-        a = k2 * b - a_vals[n - 1]
-        a_vals.append(a)
-        b_vals.append(b)
+    c = _prefix_counts((k1, k2) * n_max)
     return (
-        SequenceTable(f"A(k1={k1},k2={k2})", a_vals),
-        SequenceTable(f"B(k1={k1},k2={k2})", b_vals),
+        SequenceTable(f"A(k1={k1},k2={k2})", c[0::2]),
+        SequenceTable(f"B(k1={k1},k2={k2})", [0] + c[1::2]),
     )

@@ -201,7 +201,14 @@ def random_connected_multigraph(rng: random.Random, max_vertices: int, max_extra
 
 
 def enumerate_connected_simple_graphs(max_vertices: int) -> Iterator[Multigraph]:
-    """All labeled connected simple graphs on 1..max_vertices vertices."""
+    """All labeled connected simple graphs on 1..max_vertices vertices.
+
+    Refuses max_vertices above 7: 7 vertices already means 2^21 edge masks,
+    and 8 would take days.
+    """
+    if max_vertices > 7:
+        raise ValueError(f"max_vertices must be at most 7 for the labeled enumeration, "
+                         f"got {max_vertices}")
     for n in range(1, max_vertices + 1):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for mask in range(1 << len(pairs)):

@@ -228,6 +228,11 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     bad.write_text("n 3\ne 1 5\n")
     code, _, err = run(capsys, "group", str(bad))
     assert code == 1 and "line 2:" in err and "(1,5)" in err
+    bad.write_text("# c\nn -1\n")
+    code, _, err = run(capsys, "group", str(bad))
+    assert code == 1 and "line 2:" in err and "-1" in err
+    code, _, err = run(capsys, "search", "--max-vertices", "8", "--exhaustive")
+    assert code == 1 and "max_vertices" in err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -70,6 +70,12 @@ def test_snf_examples():
     assert zero.diagonal() == [0, 0]
     assert zero.u == IntMatrix.identity(2)
     assert zero.v == IntMatrix.identity(2)
+    # pivots that do not divide the rest: diag(6, 10, 15) folds in more than
+    # one row, and the 3x4 case folds a row above a trailing zero row
+    six = IntMatrix.from_rows([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
+    assert _check_snf(six).diagonal() == [1, 30, 30]
+    wide = IntMatrix.from_rows([[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 0, 0]])
+    assert _check_snf(wide).diagonal() == [1, 6, 0]
 
 
 def _check_snf(a):

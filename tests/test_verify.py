@@ -174,6 +174,8 @@ def test_enumerate_connected_simple_graphs():
         by_n[g.n] = by_n.get(g.n, 0) + 1
     # labeled connected graph counts: 1, 1, 4, 38
     assert by_n == {1: 1, 2: 1, 3: 4, 4: 38}
+    with pytest.raises(ValueError, match="max_vertices"):
+        next(enumerate_connected_simple_graphs(8))
 
 
 def test_random_connected_multigraph_seeded():
