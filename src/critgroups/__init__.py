@@ -48,6 +48,7 @@ from .linalg import (
     SnfDecomposition,
     determinant,
     smith_normal_form,
+    smith_rows_mod,
     solve_image_membership,
 )
 from .recurrences import (

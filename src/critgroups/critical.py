@@ -1,11 +1,14 @@
 """Critical groups of connected multigraphs.
 
 The group of a graph on n vertices is Z^{n-1} modulo the column span of the
-reduced Laplacian. Its Smith normal form U L V = D gives the invariant
-factors d_i, and row i of U, taken mod d_i, maps a configuration to its
-coordinate in Z/d_i. A `CriticalGroup` keeps only those rows for the
-nontrivial factors, so element orders, equivalence and pair reports all
-come from one lcm over the coordinates (Cohen, GTM 138, section 2.4).
+reduced Laplacian L, and its order |K| = det L is the spanning-tree count.
+Its Smith form U L V = D gives the invariant factors d_i, and row i of U,
+taken mod d_i, maps a configuration to its coordinate in Z/d_i. A
+`CriticalGroup` keeps only those rows for the nontrivial factors, so
+element orders, equivalence and pair reports all come from one lcm over the
+coordinates (Cohen, GTM 138, section 2.4). `critical_group` computes them
+by eliminating L modulo |K| (`smith_rows_mod`), with no V and no full U;
+the integer `smith_normal_form` stays the reference the tests compare with.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .graphs import Multigraph, is_connected
-from .linalg import IntMatrix, smith_normal_form
+from .linalg import IntMatrix, determinant, smith_rows_mod
 
 
 def reduced_laplacian(g: Multigraph, q: int) -> IntMatrix:
@@ -26,18 +29,33 @@ def reduced_laplacian(g: Multigraph, q: int) -> IntMatrix:
     """
     if g.n < 2:
         raise ValueError("reduced Laplacian needs at least 2 vertices")
-    if not (0 <= q < g.n):
-        raise ValueError(f"vertex {q} out of range for n={g.n}")
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    keep = [v for v in range(g.n) if v != q]
-    rows = []
-    for u in keep:
-        row = []
-        for v in keep:
-            row.append(g.degree(u) if u == v else -g.multiplicity(u, v))
-        rows.append(row)
-    return IntMatrix.from_rows(rows)
+    return _laplacian(g, q)
+
+
+def _laplacian(g: Multigraph, q: int) -> IntMatrix | None:
+    """Reduced Laplacian of a graph on 2 or more vertices, filled from the
+    degrees and the edge list, with no connectivity check: its determinant
+    is the spanning-tree count, 0 exactly when g is disconnected. None when
+    g has fewer distinct edges than a spanning tree, so that a disconnected
+    graph on many vertices never gets its dense matrix."""
+    if not (0 <= q < g.n):
+        raise ValueError(f"vertex {q} out of range for n={g.n}")
+    edges = g.edge_items()
+    if len(edges) < g.n - 1:
+        return None
+    m = g.n - 1
+    entries = [0] * (m * m)
+    for v in range(g.n):
+        if v != q:
+            i = v - (v > q)
+            entries[i * m + i] = g.degree(v)
+    for (u, v), mult in edges:
+        if q not in (u, v):
+            i, j = u - (u > q), v - (v > q)
+            entries[i * m + j] = entries[j * m + i] = -mult
+    return IntMatrix(m, m, entries)
 
 
 @dataclass
@@ -61,20 +79,13 @@ def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
         q = g.n - 1
     if g.n == 1:
         return CriticalGroup([], 1, 0, 1, [])
-    dec = smith_normal_form(reduced_laplacian(g, q))
-    u, m = dec.u.entries, g.n - 1
-    factors: list[int] = []
-    rows: list[list[int]] = []
-    order = 1
-    for i, d in enumerate(dec.diagonal()):
-        order *= d
-        if d > 1:
-            row = [x % d for x in u[i * m:(i + 1) * m]]
-            row.insert(q, 0)
-            factors.append(d)
-            rows.append(row)
+    a = _laplacian(g, q)
+    order = 0 if a is None else determinant(a)
     if order == 0:
-        raise ValueError("reduced Laplacian is singular; graph not connected?")
+        raise ValueError("graph must be connected")
+    factors, rows = smith_rows_mod(a, order)
+    for row in rows:
+        row.insert(q, 0)
     return CriticalGroup(factors, order, q, g.n, rows)
 
 

@@ -1,5 +1,7 @@
-"""Exact integer matrices: fraction-free determinants and Smith normal form
-with materialized unimodular transforms.
+"""Exact integer matrices: fraction-free determinants, Smith normal form
+with materialized unimodular transforms, and the invariant factors of a
+nonsingular matrix with the matching rows of U, computed modulo its
+determinant.
 
 Everything runs on Python's arbitrary-precision ints; reduced-Laplacian
 minors overflow 64 bits almost immediately, so there is deliberately no
@@ -9,6 +11,7 @@ floating-point or fixed-width path anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, prod
 from typing import Sequence
 
 
@@ -154,8 +157,10 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
         M[i], M[j] = M[j], M[i]
         U[i], U[j] = U[j], U[i]
 
+    # Rows above t are zero from column t on, and rows from t on are zero
+    # left of column t, so M is only touched in its lower-right block.
     def swap_cols(i, j):
-        for row in M:
+        for row in M[t:]:
             row[i], row[j] = row[j], row[i]
         for row in V:
             row[i], row[j] = row[j], row[i]
@@ -163,16 +168,16 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     def add_row(dst, src, factor):
         # R_dst += factor * R_src
         Md, Ms = M[dst], M[src]
-        for k in range(n):
+        for k in range(t, n):
             Md[k] += factor * Ms[k]
         Ud, Us = U[dst], U[src]
         for k in range(m):
             Ud[k] += factor * Us[k]
 
     def add_col(dst, src, factor):
-        # C_dst += factor * C_src
-        for row in M:
-            row[dst] += factor * row[src]
+        # C_dst += factor * C_src, called once column t is clear below the
+        # pivot, so in M only row t changes.
+        M[t][dst] += factor * M[t][src]
         for row in V:
             row[dst] += factor * row[src]
 
@@ -231,6 +236,119 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
         d=IntMatrix.from_rows(d) if m and n else IntMatrix(m, n, []),
         v=IntMatrix.from_rows(V) if n else IntMatrix(0, 0, []),
     )
+
+
+def smith_rows_mod(a: IntMatrix, det: int) -> tuple[list[int], list[list[int]]]:
+    """Invariant factors d_i > 1 of a nonsingular square matrix a with
+    determinant +-det, and for each, row i of a left transform U taken
+    mod d_i, so that b -> (U b mod d_i) maps Z^n onto Z^n / a Z^n, which is
+    the direct sum of the Z/d_i. The factors come in the chain d_i | d_{i+1}.
+
+    With D = |det|, D Z^n lies in a Z^n, so every entry is kept mod D, U is
+    needed only up to invertibility mod D, and no right transform is built
+    (Hafner and McCurley, SIAM J. Comput. 20(6), 1991; Cohen, GTM 138,
+    section 2.4). While some entry is prime to D it is the pivot (searched
+    column by column): its row clears its column mod D and its factor is 1.
+    Rows other than the pivot row are reduced only when they become pivot
+    rows. Once no unit is left, the remaining rows are reduced mod D and
+    pivoted like `smith_normal_form`: smallest entry, clear its column and
+    row, and fold in a row the pivot does not divide. A cleared pivot p is
+    replaced by gcd(p, D), because D e_t is in the lattice, and an all-zero
+    remainder has every factor equal to D.
+
+    Column operations are not recorded, and row operations are logged
+    instead of applied to U: only the rows for d_i > 1 are rebuilt from the
+    log at the end. Raises ArithmeticError if the factors' product is not D.
+    """
+    if a.rows != a.cols:
+        raise ValueError(f"smith_rows_mod needs a square matrix, got {a.rows}x{a.cols}")
+    D = abs(det)
+    if D == 0:
+        raise ValueError("smith_rows_mod needs a nonsingular matrix")
+    rows = a.to_rows()
+    labels = list(range(a.rows))  # the row of a that each active row started as
+    # (src, dsts, cs): row dsts[k] += cs[k] * row src, by label
+    log: list[tuple[int, list[int], list[int]]] = []
+    found: list[tuple[int, int]] = []  # (label, d) for each pivot with d > 1
+
+    def unit_entry():
+        for j in range(len(rows)):
+            for i, r in enumerate(rows):
+                x = r[j] = r[j] % D
+                if gcd(x, D) == 1:
+                    return i, j
+        return None
+
+    while (pick := unit_entry()) is not None:
+        i, j = pick
+        top, src = rows.pop(i), labels.pop(i)
+        inv = pow(top.pop(j), -1, D)
+        top = [x % D for x in top]
+        dsts, cs = [], []
+        for k, r in enumerate(rows):
+            f = r.pop(j) * inv % D
+            if f:
+                rows[k] = [x - f * y for x, y in zip(r, top)]
+                dsts.append(labels[k])
+                cs.append(-f)
+        log.append((src, dsts, cs))
+
+    rows = [[x % D for x in r] for r in rows]
+
+    def to_corner(i, j):
+        rows[0], rows[i] = rows[i], rows[0]
+        labels[0], labels[i] = labels[i], labels[0]
+        for r in rows:
+            r[0], r[j] = r[j], r[0]
+
+    while rows:
+        nonzero = [(x, i, j) for i, r in enumerate(rows) for j, x in enumerate(r) if x]
+        if not nonzero:
+            found += [(label, D) for label in labels]
+            break
+        _, i, j = min(nonzero)
+        to_corner(i, j)
+        while True:
+            top, p = rows[0], rows[0][0]
+            for k in range(1, len(rows)):
+                c = rows[k][0] // p
+                if c:
+                    rows[k] = [(x - c * y) % D for x, y in zip(rows[k], top)]
+                    log.append((labels[0], [labels[k]], [-c]))
+            dirty = [k for k in range(1, len(rows)) if rows[k][0]]
+            if dirty:
+                to_corner(min(dirty, key=lambda k: rows[k][0]), 0)
+                continue
+            for j in range(1, len(top)):
+                top[j] %= p
+            dirty = [j for j in range(1, len(top)) if top[j]]
+            if dirty:
+                to_corner(0, min(dirty, key=top.__getitem__))
+                continue
+            p = top[0] = gcd(p, D)
+            k = next((k for k in range(1, len(rows)) if any(x % p for x in rows[k][1:])), None)
+            if k is not None:
+                rows[0] = [x + y for x, y in zip(top, rows[k])]
+                log.append((labels[k], [labels[0]], [1]))
+                continue
+            break
+        if p > 1:
+            found.append((labels[0], p))
+        rows = [r[1:] for r in rows[1:]]
+        labels = labels[1:]
+
+    if prod(d for _, d in found) != D:
+        raise ArithmeticError(f"invariant factors {[d for _, d in found]} do not multiply to {D}")
+    out = []
+    for label, d in found:
+        x = [0] * a.rows
+        x[label] = 1
+        for src, dsts, cs in reversed(log):
+            s = sum(c * x[t] for t, c in zip(dsts, cs))
+            if s:
+                x[src] = (x[src] + s) % D
+        out.append([v % d for v in x])
+    return [d for _, d in found], out
 
 
 def solve_image_membership(a: IntMatrix, b: Sequence[int]) -> bool:

@@ -10,12 +10,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Iterator
 
-from .critical import CriticalGroup, critical_group, is_cyclic, pair_report, reduced_laplacian
+from .critical import (
+    CriticalGroup,
+    _laplacian,
+    critical_group,
+    delta_config,
+    is_cyclic,
+    pair_report,
+    reduced_laplacian,
+)
 from .graphs import Multigraph, add_path, delete_edges, is_connected
-from .linalg import determinant
+from .linalg import determinant, smith_normal_form
 
 
 class _UnionFind:
@@ -109,9 +117,8 @@ def _tree_count(g: Multigraph) -> int:
     graph is disconnected and 1 for a single vertex."""
     if g.n == 1:
         return 1
-    if not is_connected(g):
-        return 0
-    return determinant(reduced_laplacian(g, g.n - 1))
+    a = _laplacian(g, g.n - 1)
+    return 0 if a is None else determinant(a)
 
 
 def _deletion_report(g: Multigraph, kg: CriticalGroup, x: int, y: int) -> LorenziniReport:
@@ -272,11 +279,21 @@ def coprime_pair_search(
 
 
 def reverify_outcome(outcome: SearchOutcome) -> bool:
-    """Recompute both defining conditions of every reported counterexample."""
+    """Recompute both defining conditions of every reported counterexample.
+
+    The base graph's order and the order of delta(x, y) come from U and D of
+    the integer `smith_normal_form`, not from the `critical_group` the search
+    used; |K(G_1)| is the spanning-tree count of the deleted graph.
+    """
     for g, (x, y) in outcome.counterexamples:
         if g.multiplicity(x, y) < 1:
             return False
-        rep = lorenzini_check(g, x, y)
-        if not (rep.g1_connected and rep.coprime and rep.pair_generates is False):
+        q = g.n - 1
+        dec = smith_normal_form(reduced_laplacian(g, q))
+        diag = dec.diagonal()
+        w = dec.u.mult_vector(delta_config(g, x, y)[:q])
+        order_delta = lcm(*(d // gcd(d, wi) for d, wi in zip(diag, w)))
+        order_g, order_g1 = prod(diag), _tree_count(delete_edges(g, x, y))
+        if not (order_g1 > 0 and gcd(order_g, order_g1) == 1 and order_delta != order_g):
             return False
     return True

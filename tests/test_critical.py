@@ -6,6 +6,7 @@ from math import gcd, lcm
 import pytest
 
 from critgroups import (
+    IntMatrix,
     Multigraph,
     add_path,
     are_equivalent,
@@ -24,6 +25,7 @@ from critgroups import (
     random_connected_multigraph,
     reduced_laplacian,
     smith_normal_form,
+    smith_rows_mod,
     solve_image_membership,
     wedge_sum,
 )
@@ -308,3 +310,74 @@ def test_queries_match_snf_reference():
                 assert configuration_order(kg, diff) == ref_order(diff)
                 assert are_equivalent(kg, c1, c2) == solve_image_membership(a, restrict(diff))
             assert are_equivalent(kg, c1, c_multiple) and are_equivalent(kg, c1, c_fired)
+
+
+def _modular_cases():
+    """K_2..K_12 (from K_3 on, every pivot after the first is a non-unit),
+    a tree (|K| = 1), the two-vertex double edge, wedges and polygon stacks,
+    and ten seeded random multigraphs on 20 to 30 vertices (|K| of 14 to
+    108 bits, two of them non-cyclic)."""
+    yield from (complete_graph(m) for m in range(2, 13))
+    yield Multigraph(7, {(0, 1): 1, (1, 2): 1, (1, 3): 1, (3, 4): 1, (4, 5): 1, (4, 6): 1})
+    yield cycle_graph(2)
+    yield wedge_3_5()
+    yield wedge_3_5_7()
+    for spec in ((3, 4), (4, 4, 4), (3, 5, 6, 4), (6, 6, 3), (5,) * 6):
+        yield polygon_stack(spec).graph
+    rng = random.Random(41)
+    found = 0
+    while found < 10:
+        g = random_connected_multigraph(rng, 30, 20)
+        if g.n >= 20:
+            found += 1
+            yield g
+
+
+def test_modular_rows_match_references():
+    """The rows computed mod |K| against sympy's invariant factors and
+    against pair and configuration orders read off U and D of the integer
+    SNF. smith_rows_mod raises ArithmeticError when its factors do not
+    multiply to the determinant, so reaching the asserts means it did not."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(7)
+    for g, q in ((g, q) for g in _modular_cases() for q in sorted({0, g.n - 1})):
+        n = g.n
+        a = reduced_laplacian(g, q)
+        det = determinant(a)
+        factors, rows = smith_rows_mod(a, det)
+        oracle = invariant_factors(sympy.Matrix(a.to_rows()), domain=sympy.ZZ)
+        assert factors == [int(f) for f in oracle if f != 1]
+        # each row of U, mod its factor, vanishes on the columns of a
+        cols = list(zip(*a.to_rows()))
+        for d, row in zip(factors, rows):
+            assert all(sum(u * x for u, x in zip(row, col)) % d == 0 for col in cols)
+        kg = critical_group(g, q)
+        assert (kg.invariant_factors, kg.order) == (factors, det)
+
+        dec = smith_normal_form(a)
+        ref = [(d, u) for d, u in zip(dec.diagonal(), dec.u.to_rows()) if d > 1]
+
+        def ref_order(c):
+            b = [x for i, x in enumerate(c) if i != q]
+            return lcm(*(d // gcd(d, sum(ui * bi for ui, bi in zip(u, b))) for d, u in ref))
+
+        for x in range(n):
+            for y in range(x + 1, n):
+                assert pair_report(kg, x, y).element_order == ref_order(delta_config(g, x, y))
+        for _ in range(5):
+            c = [rng.randint(-5, 5) for _ in range(n)]
+            c[rng.randrange(n)] -= sum(c)
+            assert configuration_order(kg, c) == ref_order(c)
+
+
+def test_modular_rows_refuse_bad_input():
+    a = reduced_laplacian(complete_graph(4), 3)
+    assert smith_rows_mod(a, 16)[0] == [4, 4]
+    with pytest.raises(ArithmeticError):  # a multiple of |K|: the factors multiply to 16
+        smith_rows_mod(a, 32)
+    with pytest.raises(ValueError):
+        smith_rows_mod(a, 0)
+    with pytest.raises(ValueError):
+        smith_rows_mod(IntMatrix.from_rows([[1, 2]]), 1)

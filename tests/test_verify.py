@@ -4,8 +4,10 @@ import pytest
 
 from critgroups import (
     Multigraph,
+    SearchOutcome,
     brute_spanning_forests,
     brute_spanning_trees,
+    complete_graph,
     critical_group,
     cycle_graph,
     delete_edges,
@@ -165,6 +167,33 @@ def test_coprime_pair_search_exhaustive_small():
     assert reverify_outcome(outcome)
     # reported counterexamples, if any, must re-verify; none are expected here
     assert outcome.counterexamples == []
+
+
+def test_reverify_outcome_rejects_false_reports(monkeypatch):
+    """Each fabricated report fails one defining condition. The re-check
+    reads U and D of the integer SNF, never the search's critical group."""
+    import critgroups.verify as verify
+
+    house, k4 = polygon_stack((3, 4)).graph, complete_graph(4)
+    path3 = Multigraph(3, {(0, 1): 1, (1, 2): 1})
+    rep = lorenzini_check(house, 3, 4)
+    assert rep.coprime and rep.pair_generates
+    rep = lorenzini_check(k4, 0, 1)
+    assert (rep.order_g, rep.order_g1, rep.pair_generates) == (16, 8, False)
+
+    def unused(*args):
+        raise AssertionError("reverify_outcome must not use the search's critical group")
+
+    monkeypatch.setattr(verify, "critical_group", unused)
+    monkeypatch.setattr(verify, "pair_report", unused)
+    for g, pair in [
+        (house, (3, 4)),  # coprime orders, but delta(3, 4) generates
+        (k4, (0, 1)),  # delta(0, 1) does not generate, but 16 and 8 are not coprime
+        (house, (0, 4)),  # not an edge
+        (path3, (0, 1)),  # the deletion disconnects the graph
+    ]:
+        assert not reverify_outcome(SearchOutcome(0, 0, [(g, pair)], None))
+    assert reverify_outcome(SearchOutcome(0, 0, [], None))
 
 
 def test_enumerate_connected_simple_graphs():
