@@ -359,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trees", help="spanning tree count")
     _add_common(p)
     p.add_argument("--brute", action="store_true", help="cross-check by enumeration")
-    p.add_argument("--limit", type=int, default=20, help="enumeration edge limit")
+    p.add_argument("--limit", type=int, default=20,
+                   help="enumeration edge limit; over 10^6 candidate subsets are refused")
     p.set_defaults(func=cmd_trees)
 
     p = sub.add_parser("pairs", help="generating-pair report for all vertex pairs")

@@ -35,11 +35,11 @@ def reduced_laplacian(g: Multigraph, q: int) -> IntMatrix:
 
 
 def _laplacian(g: Multigraph, q: int) -> IntMatrix | None:
-    """Reduced Laplacian of a graph on 2 or more vertices, filled from the
-    degrees and the edge list, with no connectivity check: its determinant
-    is the spanning-tree count, 0 exactly when g is disconnected. None when
-    g has fewer distinct edges than a spanning tree, so that a disconnected
-    graph on many vertices never gets its dense matrix."""
+    """Reduced Laplacian filled from the degrees and the edge list, with no
+    connectivity check: its determinant is the spanning-tree count, 0
+    exactly when g is disconnected (0x0, determinant 1, for one vertex).
+    None when g has fewer distinct edges than a spanning tree, so that a
+    disconnected graph on many vertices never gets its dense matrix."""
     if not (0 <= q < g.n):
         raise ValueError(f"vertex {q} out of range for n={g.n}")
     edges = g.edge_items()

@@ -1,7 +1,12 @@
-"""Exact integer matrices: fraction-free determinants, Smith normal form
+"""Exact integer matrices: one fraction-free (Bareiss) kernel for the
+determinant and the adjugate times a right-hand side, Smith normal form
 with materialized unimodular transforms, and the invariant factors of a
 nonsingular matrix with the matching rows of U, computed modulo its
 determinant.
+
+`determinant` is the kernel with an empty right-hand side; the search in
+`verify` runs it with the identity and reads edge deletions, element
+orders and cyclicity off det and adj by formula.
 
 Everything runs on Python's arbitrary-precision ints; reduced-Laplacian
 minors overflow 64 bits almost immediately, so there is deliberately no
@@ -79,35 +84,71 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_rows()})"
 
 
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination.
+def _bareiss(a: IntMatrix, b: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
+    """det a and adj(a) @ b for a square a and an n x k matrix b, given as
+    its rows; (0, None) when a is singular.
 
-    Every division below is exact by the Bareiss identity, so no rounding
-    can occur; the 0x0 determinant is 1.
+    Bareiss fraction-free elimination of [a | b], swapping rows for zero
+    pivots, leaves an upper triangular system whose last pivot d is the
+    determinant of the row-swapped matrix. Back substitution then solves
+    for y = d a^{-1} b, the Cramer numerators: row i of y is
+    (d b'_i - sum_{j>i} m_ij y_j) / m_ii, an integer, so the division is
+    exact. adj(a) @ b = det(a) a^{-1} b is y up to the sign of the swaps.
     """
     if a.rows != a.cols:
         raise ValueError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
     n = a.rows
+    if len(b) != n:
+        raise ValueError(f"right-hand side has {len(b)} rows, expected {n}")
     if n == 0:
-        return 1
-    m = a.to_rows()
+        return 1, []
+    m = [row + list(rhs) for row, rhs in zip(a.to_rows(), b)]
+    width = len(m[0])
     sign = 1
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
+                return 0, None
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        top, p = m[k], m[k][k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            row = m[i]
+            f = row[k]
+            for j in range(k + 1, width):
+                row[j] = (row[j] * p - f * top[j]) // prev
+            row[k] = 0
+        prev = p
+    d = m[n - 1][n - 1]
+    if d == 0:
+        return 0, None
+    y = [row[n:] for row in m]  # the eliminated right-hand side
+    if width == n:
+        return sign * d, y
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        acc = [d * x for x in y[i]]
+        for j in range(i + 1, n):
+            f = row[j]
+            if f:
+                yj = y[j]
+                for c in range(width - n):
+                    acc[c] -= f * yj[c]
+        y[i] = [x // row[i] for x in acc]
+    if sign < 0:
+        y = [[-x for x in r] for r in y]
+    return sign * d, y
+
+
+def determinant(a: IntMatrix) -> int:
+    """Exact determinant by Bareiss fraction-free elimination.
+
+    Every division is exact by the Bareiss identity, so no rounding can
+    occur; the 0x0 determinant is 1.
+    """
+    return _bareiss(a, [[]] * a.rows)[0]
 
 
 @dataclass

@@ -1,8 +1,17 @@
 """Independent oracles and consistency harnesses: brute-force spanning
 structure counts, the edge-deletion coprimality predicates, and the seeded
-search for generating-pair counterexamples. Every edge deletion goes through
-one report, whose |K(G_1)| is the matrix-tree determinant of the reduced
-Laplacian; only the base graph gets a critical group.
+search for generating-pair counterexamples.
+
+The predicates and the search make one fraction-free elimination per base
+graph, for det L and adj L of its reduced Laplacian, and read everything
+else off those by formula: |K(G)| = det L; |K(G_1)| after deleting the c
+x-y edges is det L - c (adj_xx + adj_yy - 2 adj_xy) by the matrix
+determinant lemma, the bracket counting the two-tree spanning forests that
+separate x and y (Chaiken, SIAM J. Alg. Disc. Meth. 3, 1982); delta(x, y)
+generates iff gcd(det L, adj L (e_x - e_y)) = 1; and K(G) is cyclic iff the
+entries of adj L have gcd 1. No deleted graph and no critical group is
+built. A reported counterexample is checked again from the integer Smith
+normal form.
 """
 
 from __future__ import annotations
@@ -10,20 +19,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import Iterator
 
-from .critical import (
-    CriticalGroup,
-    _laplacian,
-    critical_group,
-    delta_config,
-    is_cyclic,
-    pair_report,
-    reduced_laplacian,
-)
+from .critical import _laplacian, delta_config, reduced_laplacian
 from .graphs import Multigraph, add_path, delete_edges, is_connected
-from .linalg import determinant, smith_normal_form
+from .linalg import _bareiss, determinant, smith_normal_form
 
 
 class _UnionFind:
@@ -46,13 +47,20 @@ class _UnionFind:
         return True
 
 
-def _edge_instances(g: Multigraph, limit: int) -> list[tuple[int, int]]:
-    """Edges of a connected g, parallel ones repeated; at most `limit` of them."""
+MAX_SUBSETS = 10**6
+
+
+def _edge_instances(g: Multigraph, limit: int, size: int) -> list[tuple[int, int]]:
+    """Edges of a connected g, parallel ones repeated: at most `limit` of
+    them, and at most MAX_SUBSETS subsets of `size` of them to enumerate."""
     if not is_connected(g):
         raise ValueError("graph must be connected")
     out = [e for e, m in g.edge_items() for _ in range(m)]
     if len(out) > limit:
         raise ValueError(f"{len(out)} edges exceeds enumeration limit {limit}")
+    subsets = comb(len(out), max(size, 0))
+    if subsets > MAX_SUBSETS:
+        raise ValueError(f"{subsets} subsets of {size} edges exceeds the enumeration bound {MAX_SUBSETS}")
     return out
 
 
@@ -60,9 +68,10 @@ def brute_spanning_trees(g: Multigraph, limit: int = 20) -> int:
     """Count spanning trees by enumerating edge-instance subsets.
 
     Parallel edges count as distinct instances, matching the matrix-tree
-    determinant. Refuses graphs with more than `limit` edge instances.
+    determinant. Refuses graphs with more than `limit` edge instances, or
+    more than MAX_SUBSETS (10^6) subsets of n - 1 of them.
     """
-    instances = _edge_instances(g, limit)
+    instances = _edge_instances(g, limit, g.n - 1)
     if g.n == 1:
         return 1
     count = 0
@@ -74,8 +83,9 @@ def brute_spanning_trees(g: Multigraph, limit: int = 20) -> int:
 
 
 def brute_spanning_forests(g: Multigraph, x: int, y: int, limit: int = 20) -> int:
-    """Count two-tree spanning forests separating roots x and y."""
-    instances = _edge_instances(g, limit)
+    """Count two-tree spanning forests separating roots x and y, with the
+    same refusals as `brute_spanning_trees` for subsets of n - 2 edges."""
+    instances = _edge_instances(g, limit, g.n - 2)
     if x == y:
         raise ValueError("roots must be distinct")
     if not (0 <= x < g.n and 0 <= y < g.n):
@@ -96,9 +106,10 @@ def brute_spanning_forests(g: Multigraph, x: int, y: int, limit: int = 20) -> in
 class LorenziniReport:
     """Coprimality data for a vertex pair joined by c > 0 edges.
 
-    order_g1 is the matrix-tree determinant of the graph with the x-y edges
-    deleted. When the deletion disconnects the graph it is 0, coprime is
-    False, and pair_generates is None (not applicable).
+    order_g1 is the spanning-tree count of the graph with the x-y edges
+    deleted, read off det L and adj L of the undeleted graph by the matrix
+    determinant lemma. When the deletion disconnects the graph it is 0,
+    coprime is False, and pair_generates is None (not applicable).
     """
 
     x: int
@@ -115,33 +126,70 @@ class LorenziniReport:
 def _tree_count(g: Multigraph) -> int:
     """Spanning-tree count: the reduced-Laplacian determinant, 0 when the
     graph is disconnected and 1 for a single vertex."""
-    if g.n == 1:
-        return 1
     a = _laplacian(g, g.n - 1)
     return 0 if a is None else determinant(a)
 
 
-def _deletion_report(g: Multigraph, kg: CriticalGroup, x: int, y: int) -> LorenziniReport:
-    """Report for deleting every x-y edge of g, whose critical group is kg."""
-    order_g1 = _tree_count(delete_edges(g, x, y))
+def _adjugate(g: Multigraph) -> tuple[int, list[list[int]] | None]:
+    """det L and adj L for the Laplacian L of g reduced at its last vertex
+    q, indexed by vertex: the kernel's right-hand side has the columns e_v,
+    with e_q = 0, and a zero row is appended for q. (0, None) when g is
+    disconnected."""
+    a = _laplacian(g, g.n - 1)
+    if a is None:
+        return 0, None
+    unit = [[0] * g.n for _ in range(a.rows)]
+    for i, row in enumerate(unit):
+        row[i] = 1
+    det, adj = _bareiss(a, unit)
+    return (0, None) if adj is None else (det, adj + [[0] * g.n])
+
+
+def _deletion_count(det: int, adj: list[list[int]], x: int, y: int, c: int) -> int:
+    """Spanning-tree count after deleting c of the x-y edges.
+
+    That deletion turns L into L - c b b^T with b = e_x - e_y (zero at the
+    reduced vertex), whose determinant is det L - c b^T adj(L) b by the
+    matrix determinant lemma. The bracket b^T adj(L) b counts the spanning
+    forests of two trees separating x and y (Chaiken, SIAM J. Alg. Disc.
+    Meth. 3, 1982).
+    """
+    return det - c * (adj[x][x] + adj[y][y] - 2 * adj[x][y])
+
+
+def _delta_generates(det: int, adj: list[list[int]], x: int, y: int) -> bool:
+    """delta(x, y) has order det / gcd(det, adj(L) b) with b = e_x - e_y,
+    the least k with k b in the column span of L, so it generates the
+    critical group iff that gcd is 1."""
+    return gcd(det, *(row[x] - row[y] for row in adj)) == 1
+
+
+def _is_cyclic(adj: list[list[int]]) -> bool:
+    """The gcd of the entries of adj L is the product of every invariant
+    factor but the last, which is 1 iff the group is cyclic."""
+    return gcd(*(v for row in adj for v in row)) == 1
+
+
+def lorenzini_check(g: Multigraph, x: int, y: int) -> LorenziniReport:
+    c = g.multiplicity(x, y)
+    if c <= 0:
+        raise ValueError(f"vertices {x} and {y} must be joined by at least one edge")
+    det, adj = _adjugate(g)
+    if adj is None:
+        raise ValueError("graph must be connected")
+    order_g1 = _deletion_count(det, adj, x, y, c)
     connected = order_g1 > 0
     return LorenziniReport(
         x=x,
         y=y,
-        multiplicity=g.multiplicity(x, y),
-        order_g=kg.order,
+        multiplicity=c,
+        order_g=det,
         order_g1=order_g1,
-        coprime=connected and gcd(kg.order, order_g1) == 1,
-        cyclic_g=is_cyclic(kg),
-        pair_generates=pair_report(kg, x, y).generates if connected else None,
+        coprime=connected and gcd(det, order_g1) == 1,
+        cyclic_g=_is_cyclic(adj),
+        pair_generates=_delta_generates(det, adj, x, y) if connected else None,
         g1_connected=connected,
     )
-
-
-def lorenzini_check(g: Multigraph, x: int, y: int) -> LorenziniReport:
-    if g.multiplicity(x, y) <= 0:
-        raise ValueError(f"vertices {x} and {y} must be joined by at least one edge")
-    return _deletion_report(g, critical_group(g), x, y)
 
 
 @dataclass
@@ -163,22 +211,23 @@ class LorenziniPathReport:
 def lorenzini_path_check(g: Multigraph, x: int, y: int, length: int) -> LorenziniPathReport:
     """Add a path of `length` edges between x and y and verify the chain
     coprimality conclusion: |K(G_1)| stays coprime to |K(G_1')| for every
-    deleted chain edge, and K(G') is cyclic."""
+    deleted chain edge, and K(G') is cyclic. Every chain order comes from
+    one adjugate of G'."""
     base = lorenzini_check(g, x, y)
     if not (base.g1_connected and base.coprime):
         raise ValueError("hypothesis fails: deleted graph must be connected with coprime order")
     gp = add_path(g, x, y, length)
-    kgp = critical_group(gp)
+    det, adj = _adjugate(gp)
     chain = [x] + list(range(g.n, g.n + length - 1)) + [y]
     checks = []
     for a, b in zip(chain, chain[1:]):
-        order = _tree_count(delete_edges(gp, a, b, count=1))
+        order = _deletion_count(det, adj, a, b, 1)
         checks.append(ChainCheck((a, b), order, gcd(base.order_g1, order) == 1))
     return LorenziniPathReport(
         base=base,
         length=length,
-        order_g_prime=kgp.order,
-        cyclic_g_prime=is_cyclic(kgp),
+        order_g_prime=det,
+        cyclic_g_prime=_is_cyclic(adj),
         chain=checks,
     )
 
@@ -228,6 +277,8 @@ def enumerate_connected_simple_graphs(max_vertices: int) -> Iterator[Multigraph]
 # ----------------------------------------------------------------------------
 # Counterexample search harness
 
+MAX_SAMPLE_VERTICES = 200
+
 
 @dataclass
 class SearchOutcome:
@@ -251,7 +302,17 @@ def coprime_pair_search(
 ) -> SearchOutcome:
     """Scan (graph, adjacent pair) instances for coprime-order pairs that do
     not generate. Exhaustive mode walks all labeled connected simple graphs
-    up to max_vertices; otherwise `trials` seeded multigraph samples."""
+    up to max_vertices (at most 7); otherwise `trials` seeded multigraph
+    samples, each with at most max_vertices vertices, which must be at most
+    200 (a sample draws for every vertex pair, and each graph is eliminated
+    densely).
+
+    Generation is tested only for coprime deletions: delta(x, y) is read
+    off the adjugate only then.
+    """
+    if not exhaustive and max_vertices > MAX_SAMPLE_VERTICES:
+        raise ValueError(f"max_vertices must be at most {MAX_SAMPLE_VERTICES} for the random search, "
+                         f"got {max_vertices}")
     params = {
         "max_vertices": max_vertices,
         "max_extra_edges": max_extra_edges,
@@ -267,13 +328,13 @@ def coprime_pair_search(
     coprime_count = 0
     counterexamples: list[tuple[Multigraph, tuple[int, int]]] = []
     for g in graphs:
-        kg = critical_group(g)
-        for (x, y), _m in g.edge_items():
+        det, adj = _adjugate(g)
+        for (x, y), c in g.edge_items():
             examined += 1
-            rep = _deletion_report(g, kg, x, y)
-            if rep.coprime:
+            order_g1 = _deletion_count(det, adj, x, y, c)
+            if order_g1 > 0 and gcd(det, order_g1) == 1:
                 coprime_count += 1
-                if not rep.pair_generates:
+                if not _delta_generates(det, adj, x, y):
                     counterexamples.append((g, (x, y)))
     return SearchOutcome(examined, coprime_count, counterexamples, seed, params)
 
@@ -282,8 +343,8 @@ def reverify_outcome(outcome: SearchOutcome) -> bool:
     """Recompute both defining conditions of every reported counterexample.
 
     The base graph's order and the order of delta(x, y) come from U and D of
-    the integer `smith_normal_form`, not from the `critical_group` the search
-    used; |K(G_1)| is the spanning-tree count of the deleted graph.
+    the integer `smith_normal_form`, not from the adjugate the search used;
+    |K(G_1)| is the spanning-tree count of the deleted graph.
     """
     for g, (x, y) in outcome.counterexamples:
         if g.multiplicity(x, y) < 1:

@@ -1,8 +1,9 @@
 import json
+from math import comb
 
 import pytest
 
-from critgroups import cycle_graph, format_graph, polygon_stack, wedge_sum
+from critgroups import complete_graph, cycle_graph, format_graph, polygon_stack, wedge_sum
 from critgroups.cli import main
 
 
@@ -233,6 +234,21 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     assert code == 1 and "line 2:" in err and "-1" in err
     code, _, err = run(capsys, "search", "--max-vertices", "8", "--exhaustive")
     assert code == 1 and "max_vertices" in err
+
+
+def test_size_budgets_exit_1(capsys, tmp_path):
+    # random-mode search: every sample draws all vertex pairs
+    code, _, err = run(capsys, "search", "--max-vertices", "100000", "--trials", "1")
+    assert code == 1 and "max_vertices" in err and "200" in err
+    # brute force: C(60, 19) subsets of a 20-vertex graph with 60 edges
+    edges = [(v, v + 1) for v in range(19)] + [(u, v) for u in range(20) for v in range(u + 2, 20)][:41]
+    g = tmp_path / "dense.txt"
+    g.write_text("n 20\n" + "".join(f"e {u} {v}\n" for u, v in edges))
+    code, _, err = run(capsys, "trees", str(g), "--brute", "--limit", "60")
+    assert code == 1 and f"{comb(60, 19)} subsets" in err
+    # just over the bound: K_8 has C(28, 7) = 1,184,040 tree candidates
+    code, _, err = run(capsys, "trees", write_graph(tmp_path, complete_graph(8)), "--brute", "--limit", "28")
+    assert code == 1 and "1184040 subsets" in err
 
 
 def test_usage_errors_exit_2(capsys):

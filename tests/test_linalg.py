@@ -8,11 +8,13 @@ from critgroups import (
     complete_graph,
     cycle_graph,
     determinant,
+    enumerate_connected_simple_graphs,
     polygon_stack,
     reduced_laplacian,
     smith_normal_form,
     solve_image_membership,
 )
+from critgroups.linalg import _bareiss
 
 
 def cofactor_det(rows):
@@ -59,6 +61,56 @@ def test_determinant_against_cofactor_expansion():
         n = rng.choice((3, 4))
         a = IntMatrix(n, n, [rng.randint(-5, 5) for _ in range(n * n)])
         assert determinant(a) == cofactor_det(a.to_rows())
+
+
+def _kernel_cases():
+    """Seeded square matrices with right-hand sides, plus the edge cases:
+    1x1, a zero leading entry (one row swap, so the sign flips), a
+    singular matrix, and a non-identity B."""
+    rng = random.Random(606)
+    cases = [
+        ([[7]], [[2, -3]]),
+        ([[0, 2, 1], [3, 1, 0], [1, 0, 4]], [[1, 0], [0, 1], [5, -2]]),
+        ([[1, 2, 3], [2, 4, 6], [0, 1, 1]], [[1], [1], [1]]),
+    ]
+    for _ in range(120):
+        n, k = rng.randint(1, 5), rng.randint(0, 3)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2:
+            rows[rng.randrange(n)] = [0] * n  # singular
+        cases.append((rows, [[rng.randint(-5, 5) for _ in range(k)] for _ in range(n)]))
+    return cases
+
+
+def test_bareiss_kernel_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert _bareiss(IntMatrix(0, 0, []), []) == (1, [])
+    swaps = singular = 0
+    for rows, b in _kernel_cases():
+        n, k = len(rows), len(b[0])
+        ref = sympy.Matrix(rows)
+        det, adj_b = _bareiss(IntMatrix.from_rows(rows), b)
+        assert det == ref.det()
+        if det == 0:
+            singular += 1
+            assert adj_b is None
+            continue
+        swaps += rows[0][0] == 0
+        want = ref.adjugate() * sympy.Matrix(n, k, [x for r in b for x in r])
+        assert adj_b == [[int(want[i, j]) for j in range(k)] for i in range(n)]
+    assert swaps and singular
+    with pytest.raises(ValueError):
+        _bareiss(IntMatrix(2, 2, [1, 0, 0, 1]), [[1]])
+
+
+def test_determinant_on_laplacians():
+    # Cayley: K_n has n^(n-2) spanning trees
+    for n in range(2, 13):
+        assert determinant(reduced_laplacian(complete_graph(n), n - 1)) == n ** (n - 2)
+    for g in enumerate_connected_simple_graphs(5):
+        if g.n > 1:
+            a = reduced_laplacian(g, g.n - 1)
+            assert determinant(a) == cofactor_det(a.to_rows())
 
 
 def test_snf_examples():

@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+import critgroups
 from critgroups import (
     Multigraph,
     SearchOutcome,
@@ -169,11 +171,35 @@ def test_coprime_pair_search_exhaustive_small():
     assert outcome.counterexamples == []
 
 
+def _forbid(monkeypatch, *names):
+    """Make each named package function raise if called: as bound in
+    critgroups.verify, if it is, and in the module that defines it."""
+    import critgroups.verify as verify
+
+    for name in names:
+        def forbidden(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} must not be called here")
+
+        monkeypatch.setattr(verify, name, forbidden, raising=False)
+        monkeypatch.setattr(sys.modules[getattr(critgroups, name).__module__], name, forbidden)
+
+
+def test_search_routes_through_the_kernel(monkeypatch):
+    """The search, the predicates and an empty re-check build no critical
+    group, Smith form, deleted graph or pair report."""
+    _forbid(monkeypatch, "critical_group", "smith_normal_form", "delete_edges", "pair_report")
+    exhaustive = coprime_pair_search(4, exhaustive=True)
+    assert (exhaustive.examined, exhaustive.coprime_instances, len(exhaustive.counterexamples)) == (154, 75, 0)
+    batch = coprime_pair_search(9, 2, trials=80, seed=3)
+    assert (batch.examined, batch.coprime_instances, len(batch.counterexamples)) == (774, 298, 0)
+    assert reverify_outcome(exhaustive) and reverify_outcome(batch)
+    assert lorenzini_check(cycle_graph(3), 0, 1).pair_generates is True
+    assert lorenzini_path_check(cycle_graph(3), 0, 1, 4).cyclic_g_prime
+
+
 def test_reverify_outcome_rejects_false_reports(monkeypatch):
     """Each fabricated report fails one defining condition. The re-check
     reads U and D of the integer SNF, never the search's critical group."""
-    import critgroups.verify as verify
-
     house, k4 = polygon_stack((3, 4)).graph, complete_graph(4)
     path3 = Multigraph(3, {(0, 1): 1, (1, 2): 1})
     rep = lorenzini_check(house, 3, 4)
@@ -181,11 +207,7 @@ def test_reverify_outcome_rejects_false_reports(monkeypatch):
     rep = lorenzini_check(k4, 0, 1)
     assert (rep.order_g, rep.order_g1, rep.pair_generates) == (16, 8, False)
 
-    def unused(*args):
-        raise AssertionError("reverify_outcome must not use the search's critical group")
-
-    monkeypatch.setattr(verify, "critical_group", unused)
-    monkeypatch.setattr(verify, "pair_report", unused)
+    _forbid(monkeypatch, "critical_group", "pair_report")
     for g, pair in [
         (house, (3, 4)),  # coprime orders, but delta(3, 4) generates
         (k4, (0, 1)),  # delta(0, 1) does not generate, but 16 and 8 are not coprime
@@ -214,3 +236,71 @@ def test_random_connected_multigraph_seeded():
         g2 = random_connected_multigraph(rng2, 6, 3)
         assert g1 == g2
         assert g1.n <= 6
+
+
+def _connected_multigraphs():
+    """Connected multigraphs on 2..7 vertices with multiplicities up to 3:
+    a random spanning tree, then extra multiplicity on any pair. When the
+    drawn multiplicity cap is 1 the graph is simple."""
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(2, 7))
+        cap = draw(st.integers(1, 3))
+        edges = {}
+        for v in range(1, n):
+            edges[(draw(st.integers(0, v - 1)), v)] = 1
+        for u in range(n):
+            for v in range(u + 1, n):
+                edges[(u, v)] = min(cap, edges.get((u, v), 0) + draw(st.integers(0, cap)))
+        return Multigraph(n, {e: m for e, m in edges.items() if m})
+
+    return build()
+
+
+def test_adjugate_formulas_property():
+    """det/adj formulas against independent counts: networkx spanning trees
+    of every partial and full edge deletion, enumerated two-tree forests for
+    the bracket, cyclicity from the invariant factors, and pair orders from
+    U and D of the integer Smith form."""
+    hypothesis = pytest.importorskip("hypothesis")
+    nx = pytest.importorskip("networkx")
+    from math import gcd, lcm
+
+    from critgroups import delta_config, is_cyclic, reduced_laplacian, smith_normal_form
+    from critgroups.verify import _adjugate, _deletion_count, _is_cyclic
+
+    kinds = set()
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(_connected_multigraphs())
+    def check(g):
+        det, adj = _adjugate(g)
+        kg = critical_group(g)
+        assert det == kg.order
+        assert _is_cyclic(adj) is is_cyclic(kg)
+        simple = all(m == 1 for _, m in g.edge_items())
+        kinds.update({("simple", simple), ("cyclic", is_cyclic(kg))})
+        for (x, y), c in g.edge_items():
+            for k in range(1, c + 1):
+                g1 = nx.MultiGraph()
+                g1.add_nodes_from(range(g.n))
+                for (u, v), m in delete_edges(g, x, y, count=k).edge_items():
+                    g1.add_edges_from([(u, v)] * m)
+                assert _deletion_count(det, adj, x, y, k) == round(nx.number_of_spanning_trees(g1))
+        if simple and g.edge_count() <= 15:
+            (x, y), _ = g.edge_items()[0]
+            bracket = adj[x][x] + adj[y][y] - 2 * adj[x][y]
+            assert bracket == brute_spanning_forests(g, x, y)
+            kinds.add("forests")
+        dec = smith_normal_form(reduced_laplacian(g, g.n - 1))
+        diag = dec.diagonal()
+        for x in range(g.n):
+            for y in range(x + 1, g.n):
+                w = dec.u.mult_vector(delta_config(g, x, y)[:-1])
+                want = lcm(*(d // gcd(d, wi) for d, wi in zip(diag, w)))
+                assert det // gcd(det, *(row[x] - row[y] for row in adj)) == want
+
+    check()
+    assert kinds == {(k, b) for k in ("simple", "cyclic") for b in (True, False)} | {"forests"}
