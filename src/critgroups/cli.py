@@ -1,9 +1,15 @@
 """Command-line front end.
 
-Every command reads graphs from a file path, standard input (`-`), or a
-`--stack k1,k2,...` spec, and prints either plain text or, with `--json`,
-a JSON document with all big integers encoded as decimal strings. Exit
-codes: 0 success, 1 domain error, 2 usage error.
+`main` parses the arguments and then every input a command reads: the
+graph (a file path, `-` for standard input, or a `--stack k1,k2,...` spec,
+kept as its `StackGraph`), the `--config` configurations and the `seq
+--tuple` spec. It refuses inputs above the size budgets below, naming the
+argument. A command is a function from those inputs to an `Output`: its
+JSON document, with every big integer as a decimal string, and its text
+lines, of which `--quiet` keeps only the primary ones. A command reports a
+failure by raising ValueError. `main` alone writes to standard output, and
+integers of any size print in full. Exit codes: 0 success, 1 domain error
+(one `error:` line on standard error), 2 usage error.
 """
 
 from __future__ import annotations
@@ -11,6 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
+from contextlib import contextmanager
+from functools import cache
+from typing import NamedTuple
 
 from . import __version__
 from .critical import (
@@ -30,6 +40,7 @@ from .firing import (
 )
 from .graphs import (
     Multigraph,
+    StackGraph,
     format_dot,
     format_graph,
     parse_graph,
@@ -52,175 +63,167 @@ from .verify import (
     reverify_outcome,
 )
 
+# Size budgets, timed on a shared 2-vCPU x86-64 host. Dense elimination
+# costs O(n^3) operations on entries that grow with n: at 150 vertices the
+# slowest eliminating command, lorenzini on K_150, takes 4.5 s (K_200: 17 s).
+MAX_ELIMINATION_VERTICES = 150
+# Building a polygon stack takes time quadratic in its vertex count: 2.0 s
+# for 2,002 vertices. This bounds the stacks of commands that do not eliminate.
+MAX_STACK_VERTICES = 2000
+# seq --n: the closed form takes 2.0 s for n = 2,000, and the output grows
+# quadratically in n (--const 4 --n 20000 prints 114 MB).
+MAX_SEQ_N = 2000
 
-def _emit_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+# Commands that eliminate the reduced Laplacian of the graph they load.
+ELIMINATING = frozenset({"group", "trees", "pairs", "order", "equiv", "lorenzini"})
+
+
+class Inputs(NamedTuple):
+    """A command's parsed inputs."""
+
+    graph: Multigraph | None = None
+    stack: StackGraph | None = None
+    configs: tuple[list[int], ...] = ()
+    spec: tuple[int, ...] | None = None
+
+
+class Output(NamedTuple):
+    """A command's result: its JSON document (None to print the text in
+    either mode) and its text lines; `--quiet` drops the `detail` lines."""
+
+    doc: dict | None
+    lines: Sequence[str]
+    detail: Sequence[str] = ()
+
+
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
 
 
 def _graph_json(g: Multigraph) -> dict:
     return {"n": g.n, "edges": [[u, v, m] for (u, v), m in g.edge_items()]}
 
 
-def _load_graph(args) -> Multigraph:
-    if getattr(args, "stack", None) is not None:
-        return polygon_stack(parse_stack_spec(args.stack)).graph
-    if args.graph is None:
+def _check_size(what: str, n: int, cap: int, command: str) -> None:
+    if n > cap:
+        raise ValueError(f"{what} has {n} vertices; {command} takes at most {cap}")
+
+
+def _read_graph(source: str | None) -> Multigraph:
+    if source is None:
         raise ValueError("no graph given: pass a file path, '-', or --stack")
-    if args.graph == "-":
+    if source == "-":
         return parse_graph(sys.stdin.read())
     try:
-        with open(args.graph) as fh:
-            return parse_graph(fh.read())
+        with open(source) as fh:
+            text = fh.read()
     except OSError as exc:
-        raise ValueError(f"cannot read {args.graph}: {exc}") from None
+        raise ValueError(f"cannot read {source}: {exc}") from None
+    return parse_graph(text)
 
 
-def _say(args, text: str) -> None:
-    if not args.quiet:
-        print(text)
+def _inputs(args) -> Inputs:
+    """Parse every input of the command, under Python's default limit on
+    int-from-str digits, and refuse it above its size budget."""
+    if args.command == "seq":
+        if args.tuple is not None:
+            return Inputs(spec=parse_stack_spec(args.tuple))
+        if args.n > MAX_SEQ_N:
+            raise ValueError(f"--n must be at most {MAX_SEQ_N}, got {args.n}")
+        return Inputs()
+    if args.command == "search":
+        return Inputs()
+    eliminates = args.command in ELIMINATING and not getattr(args, "dot", False)
+    cap = MAX_ELIMINATION_VERTICES if eliminates else MAX_STACK_VERTICES
+    stack = None
+    if args.stack is not None:
+        spec = parse_stack_spec(args.stack)
+        n = spec[0] + sum(k - 2 for k in spec[1:]) if spec else 1  # before the stack is built
+        _check_size("--stack", n, cap, args.command)
+        stack = polygon_stack(spec)
+        g = stack.graph
+    else:
+        g = _read_graph(args.graph)
+        if eliminates:
+            _check_size(f"graph {args.graph}", g.n, cap, args.command)
+    if eliminates and getattr(args, "path_len", None):
+        _check_size(f"G' of --path-len {args.path_len}", g.n + args.path_len - 1, cap, args.command)
+    return Inputs(g, stack, tuple(parse_configuration(c) for c in getattr(args, "config", None) or ()))
 
 
-def cmd_group(args) -> int:
-    g = _load_graph(args)
-    kg = critical_group(g)
+def cmd_group(args, inp: Inputs) -> Output:
+    g = inp.graph
     if args.dot:
-        print(format_dot(g), end="")
-        return 0
-    if args.json:
-        print(_emit_json({
-            **_graph_json(g),
-            "invariant_factors": [str(f) for f in kg.invariant_factors],
-            "order": str(kg.order),
-            "cyclic": is_cyclic(kg),
-            "deleted_vertex": kg.deleted_vertex,
-        }))
-        return 0
-    factors = ", ".join(str(f) for f in kg.invariant_factors) or "(trivial)"
-    print(f"invariant factors: {factors}")
-    _say(args, f"order: {kg.order}")
-    _say(args, f"cyclic: {'true' if is_cyclic(kg) else 'false'}")
-    _say(args, f"deleted vertex: {kg.deleted_vertex}")
-    return 0
-
-
-def cmd_trees(args) -> int:
-    g = _load_graph(args)
-    count = _tree_count(g)
-    brute = brute_spanning_trees(g, limit=args.limit) if args.brute else None
-    if brute is not None and brute != count:
-        print(f"error: determinant count {count} != enumeration count {brute}", file=sys.stderr)
-        return 1
-    if args.json:
-        doc = {"count": str(count)}
-        if brute is not None:
-            doc["brute_count"] = str(brute)
-        print(_emit_json(doc))
-        return 0
-    print(count)
-    if brute is not None:
-        _say(args, f"enumeration agrees: {brute}")
-    return 0
-
-
-def cmd_pairs(args) -> int:
-    g = _load_graph(args)
+        return Output(None, format_dot(g).splitlines())
     kg = critical_group(g)
+    factors = [str(f) for f in kg.invariant_factors]
+    return Output(
+        {**_graph_json(g), "invariant_factors": factors, "order": str(kg.order), "cyclic": is_cyclic(kg),
+         "deleted_vertex": kg.deleted_vertex},
+        [f"invariant factors: {', '.join(factors) or '(trivial)'}"],
+        [f"order: {kg.order}", f"cyclic: {_flag(is_cyclic(kg))}", f"deleted vertex: {kg.deleted_vertex}"],
+    )
+
+
+def cmd_trees(args, inp: Inputs) -> Output:
+    count = _tree_count(inp.graph)
+    if not args.brute:
+        return Output({"count": str(count)}, [str(count)])
+    brute = brute_spanning_trees(inp.graph, limit=args.limit)
+    if brute != count:
+        raise ValueError(f"determinant count {count} != enumeration count {brute}")
+    return Output({"count": str(count), "brute_count": str(brute)}, [str(count)], [f"enumeration agrees: {brute}"])
+
+
+def cmd_pairs(args, inp: Inputs) -> Output:
+    kg = critical_group(inp.graph)
     reports = _pair_reports(kg)
     if args.first:
         reports = [r for r in reports if r.generates][:1]
-    if args.json:
-        print(_emit_json({
-            "order": str(kg.order),
-            "pairs": [
-                {"x": r.x, "y": r.y, "element_order": str(r.element_order), "generates": r.generates}
-                for r in reports
-            ],
-        }))
-        return 0
-    for r in reports:
-        flag = "generates" if r.generates else "does not generate"
-        print(f"({r.x},{r.y}) order {r.element_order}: {flag}")
-    if not reports:
-        print("no generating pair found" if args.first else "no pairs")
-    return 0
+    return Output(
+        {"order": str(kg.order),
+         "pairs": [{"x": r.x, "y": r.y, "element_order": str(r.element_order), "generates": r.generates}
+                   for r in reports]},
+        [f"({r.x},{r.y}) order {r.element_order}: {'generates' if r.generates else 'does not generate'}"
+         for r in reports]
+        or ["no generating pair found" if args.first else "no pairs"],
+    )
 
 
-def cmd_order(args) -> int:
-    g = _load_graph(args)
-    kg = critical_group(g)
-    c = parse_configuration(args.config[0])
-    order = configuration_order(kg, c)
-    if args.json:
-        print(_emit_json({"element_order": str(order), "group_order": str(kg.order)}))
-    else:
-        print(order)
-    return 0
+def cmd_order(args, inp: Inputs) -> Output:
+    kg = critical_group(inp.graph)
+    order = configuration_order(kg, inp.configs[0])
+    return Output({"element_order": str(order), "group_order": str(kg.order)}, [str(order)])
 
 
-def cmd_fire(args) -> int:
-    g = _load_graph(args)
-    c = parse_configuration(args.config[0])
-    out = fire(g, c, args.vertex, args.times)
-    if args.json:
-        print(_emit_json({"configuration": [str(x) for x in out]}))
-    else:
-        print(format_configuration(out))
-    return 0
+def cmd_fire(args, inp: Inputs) -> Output:
+    out = fire(inp.graph, inp.configs[0], args.vertex, args.times)
+    return Output({"configuration": [str(x) for x in out]}, [format_configuration(out)])
 
 
-def cmd_reduce(args) -> int:
-    c = parse_configuration(args.config[0])
-    if args.stack is not None:
-        sg = polygon_stack(parse_stack_spec(args.stack))
-        out, log = reduce_to_pair(sg, c, args.pair)
-        g = sg.graph
-    else:
-        g = _load_graph(args)
-        out, log = reduce_on_cycle(g, c)
+def cmd_reduce(args, inp: Inputs) -> Output:
+    g, c = inp.graph, inp.configs[0]
+    out, log = reduce_to_pair(inp.stack, c, args.pair) if inp.stack is not None else reduce_on_cycle(g, c)
     if replay_log(g, c, log) != out:
-        print("error: move log failed to replay", file=sys.stderr)
-        return 1
-    if args.json:
-        doc = {"configuration": [str(x) for x in out]}
-        if args.log:
-            doc["log"] = [[v, t] for v, t in log]
-        print(_emit_json(doc))
-        return 0
-    print(format_configuration(out))
+        raise ValueError("move log failed to replay")
+    doc, lines = {"configuration": [str(x) for x in out]}, [format_configuration(out)]
     if args.log:
-        for v, t in log:
-            print(f"fire {v} {t}")
-    return 0
+        doc["log"] = [[v, t] for v, t in log]
+        lines += [f"fire {v} {t}" for v, t in log]
+    return Output(doc, lines)
 
 
-def cmd_equiv(args) -> int:
-    g = _load_graph(args)
-    kg = critical_group(g)
-    c1 = parse_configuration(args.config[0])
-    c2 = parse_configuration(args.config[1])
-    result = are_equivalent(kg, c1, c2)
-    if args.json:
-        print(_emit_json({"equivalent": result}))
-    else:
-        print("true" if result else "false")
-    return 0
+def cmd_equiv(args, inp: Inputs) -> Output:
+    result = are_equivalent(critical_group(inp.graph), *inp.configs)
+    return Output({"equivalent": result}, [_flag(result)])
 
 
-def cmd_seq(args) -> int:
-    if args.tuple is not None:
-        spec = parse_stack_spec(args.tuple)
-        t = tree_count(spec)
-        doc = {"T": str(t)}
-        lines = [f"T: {t}"]
-        if spec:
-            f = forest_count(spec)
-            doc["F"] = str(f)
-            lines.append(f"F: {f}")
-        if args.json:
-            print(_emit_json(doc))
-        else:
-            print("\n".join(lines))
-        return 0
+def cmd_seq(args, inp: Inputs) -> Output:
+    if inp.spec is not None:
+        counts = {"T": str(tree_count(inp.spec))}
+        if inp.spec:
+            counts["F"] = str(forest_count(inp.spec))
+        return Output(counts, [f"{k}: {v}" for k, v in counts.items()])
     if args.const is not None:
         if args.closed_form:
             values = [constant_k_closed_form(args.const, i) for i in range(args.n + 1)]
@@ -228,72 +231,44 @@ def cmd_seq(args) -> int:
         else:
             table = constant_k_table(args.const, args.n)
             values, label = table.values, table.label
-        if args.json:
-            print(_emit_json({"label": label, "values": [str(v) for v in values]}))
-        else:
-            print(",".join(str(v) for v in values))
-        return 0
+        digits = [str(v) for v in values]
+        return Output({"label": label, "values": digits}, [",".join(digits)])
     a, b = alternating_tables(*args.alt, args.n)
-    if args.json:
-        print(_emit_json({
-            "A": {"label": a.label, "values": [str(v) for v in a.values]},
-            "B": {"label": b.label, "values": [str(v) for v in b.values]},
-        }))
-    else:
-        print("A: " + ",".join(str(v) for v in a.values))
-        print("B: " + ",".join(str(v) for v in b.values))
-    return 0
+    da, db = [str(v) for v in a.values], [str(v) for v in b.values]
+    return Output(
+        {"A": {"label": a.label, "values": da}, "B": {"label": b.label, "values": db}},
+        ["A: " + ",".join(da), "B: " + ",".join(db)],
+    )
 
 
-def cmd_lorenzini(args) -> int:
-    g = _load_graph(args)
+def cmd_lorenzini(args, inp: Inputs) -> Output:
     if args.path_len is not None:
-        rep = lorenzini_path_check(g, args.x, args.y, args.path_len)
-        if args.json:
-            print(_emit_json({
-                "order_g": str(rep.base.order_g),
-                "order_g1": str(rep.base.order_g1),
-                "length": rep.length,
-                "order_g_prime": str(rep.order_g_prime),
-                "cyclic_g_prime": rep.cyclic_g_prime,
-                "chain": [
-                    {"pair": list(c.pair), "order_g1_prime": str(c.order_g1_prime), "coprime": c.coprime_with_g1}
-                    for c in rep.chain
-                ],
-            }))
-            return 0
-        print(f"order |K(G')|: {rep.order_g_prime}")
-        print(f"cyclic: {'true' if rep.cyclic_g_prime else 'false'}")
-        for c in rep.chain:
-            print(f"chain pair {c.pair}: |K(G1')| = {c.order_g1_prime}, coprime = {'true' if c.coprime_with_g1 else 'false'}")
-        return 0
-    rep = lorenzini_check(g, args.x, args.y)
-    if args.json:
-        print(_emit_json({
-            "x": rep.x,
-            "y": rep.y,
-            "multiplicity": rep.multiplicity,
-            "order_g": str(rep.order_g),
-            "order_g1": str(rep.order_g1),
-            "coprime": rep.coprime,
-            "cyclic": rep.cyclic_g,
-            "pair_generates": rep.pair_generates,
-            "g1_connected": rep.g1_connected,
-        }))
-        return 0
-    print(f"|K(G)| = {rep.order_g}")
+        rep = lorenzini_path_check(inp.graph, args.x, args.y, args.path_len)
+        return Output(
+            {"order_g": str(rep.base.order_g), "order_g1": str(rep.base.order_g1), "length": rep.length,
+             "order_g_prime": str(rep.order_g_prime), "cyclic_g_prime": rep.cyclic_g_prime,
+             "chain": [{"pair": list(c.pair), "order_g1_prime": str(c.order_g1_prime),
+                        "coprime": c.coprime_with_g1} for c in rep.chain]},
+            [f"order |K(G')|: {rep.order_g_prime}", f"cyclic: {_flag(rep.cyclic_g_prime)}"]
+            + [f"chain pair {c.pair}: |K(G1')| = {c.order_g1_prime}, coprime = {_flag(c.coprime_with_g1)}"
+               for c in rep.chain],
+        )
+    rep = lorenzini_check(inp.graph, args.x, args.y)
     if rep.g1_connected:
-        print(f"|K(G1)| = {rep.order_g1}")
-        print(f"coprime: {'true' if rep.coprime else 'false'}")
-        print(f"cyclic: {'true' if rep.cyclic_g else 'false'}")
-        print(f"pair generates: {'true' if rep.pair_generates else 'false'}")
+        lines = [f"|K(G)| = {rep.order_g}", f"|K(G1)| = {rep.order_g1}", f"coprime: {_flag(rep.coprime)}",
+                 f"cyclic: {_flag(rep.cyclic_g)}", f"pair generates: {_flag(rep.pair_generates)}"]
     else:
-        print("G1 disconnected: coprimality not applicable")
-        print(f"cyclic: {'true' if rep.cyclic_g else 'false'}")
-    return 0
+        lines = [f"|K(G)| = {rep.order_g}", "G1 disconnected: coprimality not applicable",
+                 f"cyclic: {_flag(rep.cyclic_g)}"]
+    return Output(
+        {"x": rep.x, "y": rep.y, "multiplicity": rep.multiplicity, "order_g": str(rep.order_g),
+         "order_g1": str(rep.order_g1), "coprime": rep.coprime, "cyclic": rep.cyclic_g,
+         "pair_generates": rep.pair_generates, "g1_connected": rep.g1_connected},
+        lines,
+    )
 
 
-def cmd_search(args) -> int:
+def cmd_search(args, inp: Inputs) -> Output:
     outcome = coprime_pair_search(
         max_vertices=args.max_vertices,
         max_extra_edges=args.max_extra_edges,
@@ -302,26 +277,16 @@ def cmd_search(args) -> int:
         exhaustive=args.exhaustive,
     )
     if not reverify_outcome(outcome):
-        print("error: search outcome failed re-verification", file=sys.stderr)
-        return 1
-    doc = {
-        "examined": outcome.examined,
-        "coprime_instances": outcome.coprime_instances,
-        "seed": str(outcome.seed) if outcome.seed is not None else None,
-        "params": outcome.params,
-        "counterexamples": [
-            {**_graph_json(g), "pair": [x, y]} for g, (x, y) in outcome.counterexamples
-        ],
-    }
-    if args.json:
-        print(_emit_json(doc))
-        return 0
-    print(f"examined: {outcome.examined}")
-    print(f"coprime instances: {outcome.coprime_instances}")
-    print(f"counterexamples: {len(outcome.counterexamples)}")
-    for g, (x, y) in outcome.counterexamples:
-        print(f"  pair ({x},{y}) on {format_graph(g).strip()!r}")
-    return 0
+        raise ValueError("search outcome failed re-verification")
+    found = outcome.counterexamples
+    return Output(
+        {"examined": outcome.examined, "coprime_instances": outcome.coprime_instances,
+         "seed": str(outcome.seed) if outcome.seed is not None else None, "params": outcome.params,
+         "counterexamples": [{**_graph_json(g), "pair": [x, y]} for g, (x, y) in found]},
+        [f"examined: {outcome.examined}", f"coprime instances: {outcome.coprime_instances}",
+         f"counterexamples: {len(found)}"]
+        + [f"  pair ({x},{y}) on {format_graph(g).strip()!r}" for g, (x, y) in found],
+    )
 
 
 def _size_pair(text: str) -> tuple[int, int]:
@@ -332,18 +297,21 @@ def _size_pair(text: str) -> tuple[int, int]:
     return k1, k2
 
 
-def _add_common(p: argparse.ArgumentParser, graph_source: bool = True, config_args: int = 0) -> None:
+def _add_common(p: argparse.ArgumentParser, graph_source: bool = True, config: bool = False,
+                stack_cap: int = MAX_ELIMINATION_VERTICES) -> None:
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--quiet", action="store_true", help="print only the primary result")
     if graph_source:
         p.add_argument("graph", nargs="?", help="graph file path or '-' for stdin")
-        p.add_argument("--stack", help="polygon stack spec, e.g. 3,4,4")
-    if config_args:
+        p.add_argument("--stack", help=f"polygon stack spec, e.g. 3,4,4, of at most {stack_cap} vertices")
+    if config:
         p.add_argument("--config", action="append", required=True,
                        help="configuration as comma-separated chips, e.g. 0,4,-1,-1")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="critgroups",
         description="Exact critical groups, chip-firing and polygon-stack tree counts.",
@@ -353,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("group", help="invariant factors, order and cyclicity")
     _add_common(p)
-    p.add_argument("--dot", action="store_true", help="emit the graph in DOT format instead")
+    p.add_argument("--dot", action="store_true",
+                   help=f"emit the graph in DOT format instead (stacks of up to {MAX_STACK_VERTICES} vertices)")
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("trees", help="spanning tree count")
@@ -369,24 +338,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pairs)
 
     p = sub.add_parser("order", help="order of a degree-zero configuration")
-    _add_common(p, config_args=1)
+    _add_common(p, config=True)
     p.set_defaults(func=cmd_order)
 
     p = sub.add_parser("fire", help="apply firing moves at a vertex")
-    _add_common(p, config_args=1)
+    _add_common(p, config=True, stack_cap=MAX_STACK_VERTICES)
     p.add_argument("--vertex", type=int, required=True)
     p.add_argument("--times", type=int, default=1, help="negative values borrow")
     p.set_defaults(func=cmd_fire)
 
     p = sub.add_parser("reduce", help="reduce a configuration onto a vertex pair")
-    _add_common(p, config_args=1)
+    _add_common(p, config=True, stack_cap=MAX_STACK_VERTICES)
     p.add_argument("--pair", type=int, default=0,
                    help="target pair position on the top path (stacks only)")
     p.add_argument("--log", action="store_true", help="also print the move log")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("equiv", help="test two configurations for equivalence")
-    _add_common(p, config_args=1)
+    _add_common(p, config=True)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("seq", help="tree-count sequences and closed forms")
@@ -395,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--tuple", help="stack spec, e.g. 3,4")
     mode.add_argument("--const", type=int, help="constant polygon size k")
     mode.add_argument("--alt", type=_size_pair, help="alternating sizes k1,k2")
-    p.add_argument("--n", type=int, default=10, help="last index to tabulate")
+    p.add_argument("--n", type=int, default=10, help=f"last index to tabulate, at most {MAX_SEQ_N}")
     p.add_argument("--closed-form", action="store_true",
                    help="evaluate the constant-k closed form instead of the recurrence")
     p.set_defaults(func=cmd_seq)
@@ -404,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("-x", type=int, required=True)
     p.add_argument("-y", type=int, required=True)
-    p.add_argument("--path-len", type=int, help="also verify the added-path conclusion")
+    p.add_argument("--path-len", type=int,
+                   help="also verify the added-path conclusion; the graph with the path added "
+                        f"has n + path-len - 1 vertices, at most {MAX_ELIMINATION_VERTICES}")
     p.set_defaults(func=cmd_lorenzini)
 
     p = sub.add_parser("search", help="scan for generating-pair counterexamples")
@@ -419,6 +390,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _exact_ints():
+    """Lift Python's limit on int-to-str digits (3.11+), so that counts of
+    any size print in full, and restore it afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -427,10 +413,18 @@ def main(argv: list[str] | None = None) -> int:
         if len(args.config) != needed:
             parser.error(f"{args.command} needs exactly {needed} --config argument(s)")
     try:
-        return args.func(args)
+        inputs = _inputs(args)
+        with _exact_ints():
+            out = args.func(args, inputs)
+            if args.json and out.doc is not None:
+                text = json.dumps(out.doc, sort_keys=True, separators=(",", ":"))
+            else:
+                text = "\n".join([*out.lines, *(() if args.quiet else out.detail)])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -320,10 +320,11 @@ def coprime_pair_search(
         "exhaustive": exhaustive,
     }
     if exhaustive:
-        graphs: Iterator[Multigraph] | list[Multigraph] = enumerate_connected_simple_graphs(max_vertices)
+        graphs = enumerate_connected_simple_graphs(max_vertices)
     else:
+        # Samples are drawn as the scan reaches them; the scan takes nothing from rng.
         rng = random.Random(seed)
-        graphs = [random_connected_multigraph(rng, max_vertices, max_extra_edges) for _ in range(trials)]
+        graphs = (random_connected_multigraph(rng, max_vertices, max_extra_edges) for _ in range(trials))
     examined = 0
     coprime_count = 0
     counterexamples: list[tuple[Multigraph, tuple[int, int]]] = []

@@ -1,10 +1,16 @@
+import argparse
 import json
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from critgroups import complete_graph, cycle_graph, format_graph, polygon_stack, wedge_sum
+import critgroups.cli as cli_mod
+from critgroups import complete_graph, cycle_graph, format_graph, polygon_stack, tree_count, wedge_sum
 from critgroups.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -276,3 +282,112 @@ def test_group_dot(capsys):
     assert code == 0
     assert out.startswith("graph G {")
     assert out.count("0 -- 1") == 2
+
+
+def test_golden_outputs(capsys, tmp_path, monkeypatch):
+    """Every subcommand in text, --json and --quiet form on the house graph,
+    the 3,5,7 wedge and a disconnected graph, and one bad input per error
+    path: stdout, the first stderr line and the exit code, as recorded from
+    the CLI before its commands returned their output to one renderer."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    for name, text in GOLDEN["files"].items():
+        (tmp_path / name).write_text(text)
+    for case in GOLDEN["cases"]:
+        try:
+            code = main(case["argv"])
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        first_err = (out.err.splitlines() or [""])[0]
+        assert {"argv": case["argv"], "code": code, "out": out.out, "err": first_err} == case
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                        lambda self, **kw: built.append(self) or add_subparsers(self, **kw))
+    cli_mod.build_parser.cache_clear()
+    assert run(capsys, "trees", "--stack", "3,4")[:2] == (0, "11\n")
+    assert run(capsys, "seq", "--tuple", "3,4")[:2] == (0, "T: 11\nF: 8\n")
+    assert len(built) == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_big_integers_print_in_full(capsys):
+    spec = ",".join(["1000"] * 1500)
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "seq", "--tuple", spec)
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    code, json_out, _ = run(capsys, "seq", "--tuple", spec, "--json")
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        t = str(tree_count([1000] * 1500))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(t) > 4300
+    assert out.splitlines()[0] == f"T: {t}" and json.loads(json_out)["T"] == t
+    # inputs are still parsed under the default limit
+    code, _, err = run(capsys, "seq", "--tuple", "9" * 5000)
+    assert code == 1 and "bad stack spec" in err
+
+
+def test_vertex_budgets_exit_1(capsys, tmp_path, monkeypatch):
+    cap, stack_cap = cli_mod.MAX_ELIMINATION_VERTICES, cli_mod.MAX_STACK_VERTICES
+    code, out, _ = run(capsys, "trees", write_graph(tmp_path, cycle_graph(cap)))
+    assert code == 0 and out == f"{cap}\n"
+    big = write_graph(tmp_path, cycle_graph(cap + 1), "big.txt")
+    for command in ("group", "trees", "pairs"):
+        code, _, err = run(capsys, command, big)
+        assert code == 1 and f"graph {big} has {cap + 1} vertices" in err and str(cap) in err
+    code, _, err = run(capsys, "order", big, "--config", "0," * cap + "0")
+    assert code == 1 and f"graph {big}" in err
+    code, out, _ = run(capsys, "group", big, "--dot")  # DOT needs no elimination
+    assert code == 0 and out.count(" -- ") == cap + 1
+    # G' of lorenzini --path-len counts the path's new vertices
+    code, _, err = run(capsys, "lorenzini", "--stack", "3", "-x", "0", "-y", "1", "--path-len", "400")
+    assert code == 1 and "--path-len 400" in err and "402 vertices" in err
+    code, out, _ = run(capsys, "lorenzini", "--stack", "3", "-x", "0", "-y", "1", "--path-len", str(cap - 2),
+                       "--json")
+    assert code == 0 and json.loads(out)["length"] == cap - 2
+
+    # a stack spec is refused by its vertex count before the stack is built
+    def no_build(*a, **k):
+        raise AssertionError("stack built")
+
+    monkeypatch.setattr(cli_mod, "polygon_stack", no_build)
+    code, _, err = run(capsys, "group", "--stack", "100000000")
+    assert code == 1 and "--stack has 100000000 vertices" in err
+    code, _, err = run(capsys, "equiv", "--stack", "3," + "4," * 74 + "4", "--config", "0", "--config", "0")
+    assert code == 1 and f"--stack has {3 + 2 * 75} vertices" in err
+    code, _, err = run(capsys, "fire", "--stack", str(stack_cap + 1), "--config", "0", "--vertex", "0")
+    assert code == 1 and f"--stack has {stack_cap + 1} vertices; fire takes at most {stack_cap}" in err
+    monkeypatch.undo()
+    config = "1," + "0," * (cap - 1) + "-1"
+    code, out, _ = run(capsys, "fire", "--stack", str(cap + 1), "--config", config, "--vertex", "0")
+    assert code == 0 and out.startswith("-1,1,")
+
+    code, _, err = run(capsys, "seq", "--const", "4", "--n", "20000")
+    assert code == 1 and "--n" in err and str(cli_mod.MAX_SEQ_N) in err
+    code, out, _ = run(capsys, "seq", "--const", "4", "--n", str(cli_mod.MAX_SEQ_N), "--json")
+    assert code == 0 and len(json.loads(out)["values"]) == cli_mod.MAX_SEQ_N + 1
+
+
+def test_group_dot_disconnected(capsys, tmp_path):
+    apart = tmp_path / "apart.txt"
+    apart.write_text("n 4\ne 0 1\ne 2 3\n")
+    code, out, _ = run(capsys, "group", str(apart), "--dot")
+    assert code == 0 and out == "graph G {\n  0;\n  1;\n  2;\n  3;\n  0 -- 1;\n  2 -- 3;\n}\n"
+    code, _, err = run(capsys, "group", str(apart))
+    assert code == 1 and err == "error: graph must be connected\n"
+
+
+def test_failed_self_checks_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "replay_log", lambda g, c, log: None)
+    code, out, err = run(capsys, "reduce", "--stack", "3,4", "--config", "1,0,0,-1,0")
+    assert (code, out, err) == (1, "", "error: move log failed to replay\n")
+    monkeypatch.setattr(cli_mod, "reverify_outcome", lambda outcome: False)
+    code, out, err = run(capsys, "search", "--max-vertices", "3", "--exhaustive", "--json")
+    assert (code, out, err) == (1, "", "error: search outcome failed re-verification\n")

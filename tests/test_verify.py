@@ -163,6 +163,22 @@ def test_coprime_pair_search_determinism():
     assert empty.examined == 0 and empty.counterexamples == []
 
 
+def test_random_search_draws_samples_as_it_scans(monkeypatch):
+    """Each sample is drawn just before it is scanned, so no list of all
+    `trials` graphs is held; the samples are those of one seeded stream."""
+    import critgroups.verify as verify
+
+    events = []
+    draw, adjugate = verify.random_connected_multigraph, verify._adjugate
+    monkeypatch.setattr(verify, "random_connected_multigraph", lambda *a: events.append("draw") or draw(*a))
+    monkeypatch.setattr(verify, "_adjugate", lambda g: events.append("scan") or adjugate(g))
+    outcome = coprime_pair_search(6, 1, trials=4, seed=5)
+    assert events == ["draw", "scan"] * 4
+    rng = random.Random(5)
+    samples = [draw(rng, 6, 1) for _ in range(4)]
+    assert outcome.examined == sum(len(g.edge_items()) for g in samples)
+
+
 def test_coprime_pair_search_exhaustive_small():
     outcome = coprime_pair_search(4, exhaustive=True)
     assert outcome.examined > 0
