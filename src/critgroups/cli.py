@@ -20,6 +20,7 @@ import sys
 from collections.abc import Sequence
 from contextlib import contextmanager
 from functools import cache
+from math import log10
 from typing import NamedTuple
 
 from . import __version__
@@ -67,12 +68,17 @@ from .verify import (
 # costs O(n^3) operations on entries that grow with n: at 150 vertices the
 # slowest eliminating command, lorenzini on K_150, takes 4.5 s (K_200: 17 s).
 MAX_ELIMINATION_VERTICES = 150
-# Building a polygon stack takes time quadratic in its vertex count: 2.0 s
-# for 2,002 vertices. This bounds the stacks of commands that do not eliminate.
+# Stacks of the commands that do not eliminate build in linear time, but a
+# reduction's chip counts grow by about two bits per level, so `reduce --log`
+# prints quadratically many digits: 0.6 MB in 22 ms for 2,000 vertices.
 MAX_STACK_VERTICES = 2000
 # seq --n: the closed form takes 2.0 s for n = 2,000, and the output grows
 # quadratically in n (--const 4 --n 20000 prints 114 MB).
 MAX_SEQ_N = 2000
+# seq --const/--alt: the digits printed, estimated from a bound of i * b bits
+# on value i, b the bit length of k (of k1*k2 for the two tables of --alt).
+# The estimate for --const 4 --n 2000 is 1.81 M digits (1.15 MB printed).
+MAX_SEQ_DIGITS = 2_000_000
 
 # Commands that eliminate the reduced Laplacian of the graph they load.
 ELIMINATING = frozenset({"group", "trees", "pairs", "order", "equiv", "lorenzini"})
@@ -130,6 +136,11 @@ def _inputs(args) -> Inputs:
             return Inputs(spec=parse_stack_spec(args.tuple))
         if args.n > MAX_SEQ_N:
             raise ValueError(f"--n must be at most {MAX_SEQ_N}, got {args.n}")
+        k, tables = (args.const, 1) if args.const is not None else (args.alt[0] * args.alt[1], 2)
+        digits = round(tables * k.bit_length() * args.n * (args.n + 1) / 2 * log10(2))
+        if digits > MAX_SEQ_DIGITS:
+            raise ValueError(f"{'--const' if tables == 1 else '--alt'} with --n {args.n} would print about "
+                             f"{digits} digits; seq prints at most {MAX_SEQ_DIGITS}")
         return Inputs()
     if args.command == "search":
         return Inputs()

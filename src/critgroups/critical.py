@@ -77,8 +77,6 @@ def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
     """Critical group of a connected multigraph (trivial for one vertex)."""
     if q is None:
         q = g.n - 1
-    if g.n == 1:
-        return CriticalGroup([], 1, 0, 1, [])
     a = _laplacian(g, q)
     order = 0 if a is None else determinant(a)
     if order == 0:

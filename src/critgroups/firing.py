@@ -1,17 +1,19 @@
-"""Chip-firing moves and the constructive reductions on cycles and polygon
-stacks.
+"""Chip-firing moves and the constructive reduction on polygon stacks.
 
 A configuration is a plain list of ints, one chip count per vertex; counts
 may be negative. A move log is a list of (vertex, times) pairs where
 positive times mean fire and negative mean borrow; replaying a log from the
 start configuration reproduces the end configuration exactly.
+
+Every move is one in-place Laplacian step. The reduction sweeps each
+level's path once, from the base up; a cycle is the one-level stack.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Multigraph, StackGraph
+from .graphs import Multigraph, StackGraph, cycle_graph, polygon_stack
 
 MoveLog = list[tuple[int, int]]
 
@@ -33,23 +35,28 @@ def format_configuration(c: Sequence[int]) -> str:
     return ",".join(str(x) for x in c)
 
 
+def _move(g: Multigraph, cur: list[int], v: int, times: int) -> None:
+    """Fire v `times` times in place (negative times borrow)."""
+    cur[v] -= times * g.degree(v)
+    for u, mult in g.incident(v):
+        cur[u] += times * mult
+
+
 def fire(g: Multigraph, c: Sequence[int], v: int, times: int = 1) -> list[int]:
     """Fire vertex v `times` times (negative times borrow)."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-    if len(c) != g.n:
-        raise ValueError(f"configuration length {len(c)} != n={g.n}")
-    out = [int(x) for x in c]
-    out[v] -= times * g.degree(v)
-    for u, mult in g.incident(v):
-        out[u] += times * mult
-    return out
+    return replay_log(g, c, [(v, times)])
 
 
 def replay_log(g: Multigraph, c: Sequence[int], log: Sequence[tuple[int, int]]) -> list[int]:
+    """Apply a move log to a copy of c, checking the vertex and the
+    configuration length at every entry."""
     out = [int(x) for x in c]
     for v, times in log:
-        out = fire(g, out, v, times)
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+        if len(out) != g.n:
+            raise ValueError(f"configuration length {len(out)} != n={g.n}")
+        _move(g, out, v, times)
     return out
 
 
@@ -57,26 +64,8 @@ def _borrow(g: Multigraph, cur: list[int], log: MoveLog, v: int, count: int) -> 
     # borrow `count` times at v, in place; zero borrows are dropped from the log
     if count == 0:
         return
-    cur[v] += count * g.degree(v)
-    for u, mult in g.incident(v):
-        cur[u] -= count * mult
+    _move(g, cur, v, -count)
     log.append((v, -count))
-
-
-def _is_canonical_cycle(g: Multigraph) -> bool:
-    if g.n < 3:
-        return False
-    want = {tuple(sorted((i, (i + 1) % g.n))): 1 for i in range(g.n)}
-    return g.edge_dict() == want
-
-
-def _sweep_cycle(g: Multigraph, cur: list[int], log: MoveLog, order: list[int], pos: int) -> None:
-    """Clear a cycle (given as its vertex order) onto the adjacent pair
-    (order[pos], order[pos+1]), walking the long way around."""
-    n = len(order)
-    walk = [order[(pos + 2 + s) % n] for s in range(n - 1)]
-    for t in range(n - 2):
-        _borrow(g, cur, log, walk[t + 1], cur[walk[t]])
 
 
 def _sweep_path(g: Multigraph, cur: list[int], log: MoveLog, path: list[int], pos: int) -> None:
@@ -97,18 +86,12 @@ def reduce_on_cycle(g: Multigraph, c: Sequence[int]) -> tuple[list[int], MoveLog
     configuration on the last two vertices.
 
     The output is (0, ..., 0, m, -m); m is recoverable as the next-to-last
-    entry. Requires the canonical cycle labeling (edges i, i+1 mod n).
+    entry. Requires the canonical cycle labeling (edges i, i+1 mod n). The
+    cycle is the one-level stack (n,), reduced onto its pair n - 2.
     """
-    if not _is_canonical_cycle(g):
+    if not (g.n >= 3 and g == cycle_graph(g.n)):
         raise ValueError("reduce_on_cycle needs a canonical cycle on >= 3 vertices")
-    if len(c) != g.n:
-        raise ValueError(f"configuration length {len(c)} != n={g.n}")
-    if sum(c) != 0:
-        raise ValueError(f"configuration must have degree 0, got {sum(c)}")
-    cur = [int(x) for x in c]
-    log: MoveLog = []
-    _sweep_cycle(g, cur, log, list(range(g.n)), g.n - 2)
-    return cur, log
+    return reduce_to_pair(polygon_stack((g.n,)), c, g.n - 2)
 
 
 def reduce_to_pair(sg: StackGraph, c: Sequence[int], pos: int) -> tuple[list[int], MoveLog]:
@@ -129,20 +112,22 @@ def reduce_to_pair(sg: StackGraph, c: Sequence[int], pos: int) -> tuple[list[int
         raise ValueError(f"configuration must have degree 0, got {sum(c)}")
 
     top = sg.paths[-1]
-    levels = len(sg.paths)
-    if levels == 1:
+    if len(sg.paths) == 1:
         if not (0 <= pos < len(top)):
             raise ValueError(f"pair position {pos} out of range for the base cycle")
     elif not (0 <= pos < len(top) - 1):
         raise ValueError(f"pair position {pos} out of range for the top path")
 
+    # One target pair per level. The base cycle, cut open at the edge just
+    # after its target pair, is a path that ends with that pair.
+    targets = [*sg.level_positions, pos]
+    base, k = sg.paths[0], len(sg.paths[0])
+    s = (targets[0] + 2) % k
+    paths = [base[s:] + base[:s], *sg.paths[1:]]
+    targets[0] = k - 2
+
     cur = [int(x) for x in c]
     log: MoveLog = []
-    if levels == 1:
-        _sweep_cycle(g, cur, log, top, pos)
-    else:
-        _sweep_cycle(g, cur, log, sg.paths[0], sg.level_positions[0])
-        for t in range(1, levels - 1):
-            _sweep_path(g, cur, log, sg.paths[t], sg.level_positions[t])
-        _sweep_path(g, cur, log, top, pos)
+    for path, target in zip(paths, targets):
+        _sweep_path(g, cur, log, path, target)
     return cur, log

@@ -150,11 +150,15 @@ def add_path(g: Multigraph, x: int, y: int, length: int) -> Multigraph:
     if length < 1:
         raise ValueError(f"path length must be >= 1, got {length}")
     edges = g.edge_dict()
-    chain = [x] + list(range(g.n, g.n + length - 1)) + [y]
+    _add_chain(edges, [x, *range(g.n, g.n + length - 1), y])
+    return Multigraph(g.n + length - 1, edges)
+
+
+def _add_chain(edges: dict[tuple[int, int], int], chain: Sequence[int]) -> None:
+    """Add one edge between each consecutive pair of `chain` to `edges`."""
     for a, b in zip(chain, chain[1:]):
         k = _key(a, b)
         edges[k] = edges.get(k, 0) + 1
-    return Multigraph(g.n + length - 1, edges)
 
 
 def delete_edges(g: Multigraph, x: int, y: int, count: int | None = None) -> Multigraph:
@@ -208,12 +212,13 @@ def polygon_stack(ks: Sequence[int], attach_positions: Sequence[int] | None = No
     """Build the polygon stack for (k_1, ..., k_n).
 
     Level 1 is a k_1-cycle with canonical attachment pair (0, 1); each later
-    level adds a path of k_i - 1 edges across the current attachment pair.
-    By default the next pair is (x, first new vertex) for k_i >= 3 and is
-    unchanged for k_i = 2. `attach_positions` overrides the default choice:
-    entry i selects which consecutive pair of level i+1's path hosts level
-    i+2 (position j means the pair (path[j], path[j+1]), cyclically on the
-    base cycle).
+    level adds a path of k_i - 1 edges across the current attachment pair,
+    whose k_i - 2 new vertices take the next free indices. By default the
+    next pair is (x, first new vertex) for k_i >= 3 and is unchanged for
+    k_i = 2. `attach_positions` overrides the default choice: entry i
+    selects which consecutive pair of level i+1's path hosts level i+2
+    (position j means the pair (path[j], path[j+1]), cyclically on the base
+    cycle). One edge table is filled and one graph built, in linear time.
     """
     spec = check_stack_spec(ks)
     if attach_positions is not None and len(attach_positions) != max(len(spec) - 1, 0):
@@ -221,28 +226,28 @@ def polygon_stack(ks: Sequence[int], attach_positions: Sequence[int] | None = No
     if not spec:
         return StackGraph(Multigraph(1), [], None, [], [])
 
-    g = cycle_graph(spec[0])
-    paths: list[list[int]] = [list(range(spec[0]))]
+    edges = cycle_graph(spec[0]).edge_dict()
+    n = spec[0]
+    paths: list[list[int]] = [list(range(n))]
     level_edges: list[tuple[int, int]] = []
     positions: list[int] = []
 
     for idx, k in enumerate(spec[1:]):
         prev = paths[-1]
-        cyclic = idx == 0  # base cycle allows any of its edges
-        npairs = len(prev) if cyclic else len(prev) - 1
+        npairs = len(prev) if idx == 0 else len(prev) - 1  # base cycle allows any of its edges
         pos = 0 if attach_positions is None else int(attach_positions[idx])
         if not (0 <= pos < npairs):
             raise ValueError(f"attach position {pos} invalid for level {idx + 2}")
-        x = prev[pos]
-        y = prev[(pos + 1) % len(prev)] if cyclic else prev[pos + 1]
-        base_n = g.n
-        g = add_path(g, x, y, k - 1)
-        paths.append([x] + list(range(base_n, g.n)) + [y])
+        x, y = prev[pos], prev[(pos + 1) % len(prev)]
+        path = [x, *range(n, n + k - 2), y]
+        _add_chain(edges, path)
+        n += k - 2
+        paths.append(path)
         level_edges.append((x, y))
         positions.append(pos)
 
     top = paths[-1]
-    return StackGraph(g, level_edges, (top[0], top[1]), paths, positions)
+    return StackGraph(Multigraph(n, edges), level_edges, (top[0], top[1]), paths, positions)
 
 
 # ----------------------------------------------------------------------------

@@ -375,6 +375,25 @@ def test_vertex_budgets_exit_1(capsys, tmp_path, monkeypatch):
     assert code == 0 and len(json.loads(out)["values"]) == cli_mod.MAX_SEQ_N + 1
 
 
+
+def test_seq_digit_budget_exit_1(capsys, monkeypatch):
+    # refused from the estimate alone, before any value is computed
+    def no_values(*a, **k):
+        raise AssertionError("values computed")
+
+    for name in ("constant_k_table", "constant_k_closed_form", "alternating_tables"):
+        monkeypatch.setattr(cli_mod, name, no_values)
+    big, budget = "100000000000000000000", str(cli_mod.MAX_SEQ_DIGITS)
+    for extra in ((), ("--closed-form",)):
+        code, out, err = run(capsys, "seq", "--const", big, "--n", "700", *extra)
+        assert (code, out) == (1, "") and "--const with --n 700" in err and budget in err
+    code, _, err = run(capsys, "seq", "--alt", f"{big},3", "--n", "700")
+    assert code == 1 and "--alt with --n 700" in err and budget in err
+    monkeypatch.undo()
+    # a short table of the same values is within the budget
+    code, out, _ = run(capsys, "seq", "--const", big, "--n", "40", "--json")
+    assert code == 0 and len(json.loads(out)["values"]) == 41
+
 def test_group_dot_disconnected(capsys, tmp_path):
     apart = tmp_path / "apart.txt"
     apart.write_text("n 4\ne 0 1\ne 2 3\n")

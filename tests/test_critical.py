@@ -6,6 +6,7 @@ from math import gcd, lcm
 import pytest
 
 from critgroups import (
+    CriticalGroup,
     IntMatrix,
     Multigraph,
     add_path,
@@ -69,7 +70,9 @@ def test_critical_group_examples():
     kg = critical_group(path6)
     assert kg.invariant_factors == [] and kg.order == 1
     single = critical_group(Multigraph(1))
-    assert single.order == 1 and single.invariant_factors == []
+    assert single == CriticalGroup([], 1, 0, 1, [])
+    with pytest.raises(ValueError, match="vertex 1 out of range for n=1"):
+        critical_group(Multigraph(1), 1)
     with pytest.raises(ValueError):
         critical_group(Multigraph(4, {(0, 1): 1, (2, 3): 1}))
 

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import time
 
 import pytest
 
@@ -169,3 +171,69 @@ def test_move_logs_replay_exactly():
         out, log = reduce_to_pair(sg, c, 0)
         assert replay_log(sg.graph, c, log) == out
         assert all(times != 0 for _, times in log)
+
+
+def _seeded_reductions():
+    """(out, log) of seeded reductions: onto every pair position of random
+    stacks, half of them with random attachments, then on C_3..C_11."""
+    rng = random.Random(2015)
+    for _ in range(200):
+        spec = tuple(rng.randint(2, 6) for _ in range(rng.randint(1, 5)))
+        positions = None
+        if len(spec) > 1 and rng.random() < 0.5:
+            positions = [rng.randrange(spec[0])] + [rng.randrange(k - 1) for k in spec[1:-1]]
+        sg = polygon_stack(spec, positions)
+        c = [rng.randint(-4, 4) for _ in range(sg.graph.n)]
+        c[rng.randrange(len(c))] -= sum(c)
+        span = spec[0] if len(spec) == 1 else spec[-1] - 1
+        for pos in range(span):
+            yield reduce_to_pair(sg, c, pos)
+    for n in range(3, 12):
+        for _ in range(5):
+            c = [rng.randint(-6, 6) for _ in range(n)]
+            c[rng.randrange(n)] -= sum(c)
+            yield reduce_on_cycle(cycle_graph(n), c)
+
+
+def test_reductions_digest():
+    # pins every output and move log byte for byte, as the base cycle's own
+    # sweep computed them before the cycle was swept as a path
+    h = hashlib.sha256()
+    count = 0
+    for out, log in _seeded_reductions():
+        h.update(repr((out, log)).encode())
+        count += 1
+    assert (count, h.hexdigest()) == (674, "a04afe903a638fb668c4dbe9bb2f3c0277151485e623947f466654a53df8f3c6")
+
+
+def test_replay_log_checks_each_entry():
+    g = cycle_graph(4)
+    with pytest.raises(ValueError, match="vertex 4 out of range for n=4"):
+        replay_log(g, [1, -1, 0, 0], [(0, 1), (4, -1)])
+    with pytest.raises(ValueError, match="configuration length 3 != n=4"):
+        replay_log(g, [1, -1, 0], [(0, 1)])
+    assert replay_log(g, [1, -1, 0], []) == [1, -1, 0]
+
+
+def test_large_stack_builds_and_replays_in_linear_time():
+    start = time.perf_counter()
+    sg = polygon_stack((4,) * 3000)
+    assert time.perf_counter() - start < 1.0
+    assert sg.graph.n == 6002
+
+    def per_move(levels):
+        sg = polygon_stack((4,) * levels)
+        rng = random.Random(levels)
+        c = [rng.randint(-3, 3) for _ in range(sg.graph.n)]
+        c[0] -= sum(c)
+        out, log = reduce_to_pair(sg, c, 0)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            assert replay_log(sg.graph, c, log) == out
+            best = min(best, time.perf_counter() - start)
+        return best / len(log)
+
+    # a replay that copied the configuration per move would cost ten times
+    # as much per move on the stack ten times as large
+    assert per_move(3000) < 4 * per_move(300)

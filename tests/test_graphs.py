@@ -230,3 +230,31 @@ def test_stack_tree_counts_match_recurrence():
         sg = polygon_stack(spec)
         if sg.graph.edge_count() <= 20:
             assert brute_spanning_trees(sg.graph) == tree_count(spec)
+
+
+def _stack_by_add_path(spec, positions):
+    # reference: one add_path per level, as the paper adds each polygon
+    g = cycle_graph(spec[0])
+    paths, level_edges, chosen = [list(range(spec[0]))], [], []
+    for idx, k in enumerate(spec[1:]):
+        prev = paths[-1]
+        pos = 0 if positions is None else positions[idx]
+        x, y = prev[pos], prev[(pos + 1) % len(prev)]
+        base_n = g.n
+        g = add_path(g, x, y, k - 1)
+        paths.append([x, *range(base_n, g.n), y])
+        level_edges.append((x, y))
+        chosen.append(pos)
+    return g, paths, chosen, level_edges, (paths[-1][0], paths[-1][1])
+
+
+def test_polygon_stack_is_a_fold_of_add_path():
+    rng = random.Random(919)
+    for _ in range(300):
+        spec = tuple(rng.randint(2, 6) for _ in range(rng.randint(1, 5)))
+        positions = None
+        if len(spec) > 1 and rng.random() < 0.5:
+            positions = [rng.randrange(spec[0])] + [rng.randrange(k - 1) for k in spec[1:-1]]
+        sg = polygon_stack(spec, positions)
+        got = (sg.graph, sg.paths, sg.level_positions, sg.level_edges, sg.active_pair)
+        assert got == _stack_by_add_path(spec, positions), (spec, positions)
