@@ -214,7 +214,7 @@ def cmd_fire(args, inp: Inputs) -> Output:
 
 def cmd_reduce(args, inp: Inputs) -> Output:
     g, c = inp.graph, inp.configs[0]
-    out, log = reduce_to_pair(inp.stack, c, args.pair) if inp.stack is not None else reduce_on_cycle(g, c)
+    out, log = reduce_to_pair(inp.stack, c, args.pair or 0) if inp.stack is not None else reduce_on_cycle(g, c)
     if replay_log(g, c, log) != out:
         raise ValueError("move log failed to replay")
     doc, lines = {"configuration": [str(x) for x in out]}, [format_configuration(out)]
@@ -360,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="reduce a configuration onto a vertex pair")
     _add_common(p, config=True, stack_cap=MAX_STACK_VERTICES)
-    p.add_argument("--pair", type=int, default=0,
-                   help="target pair position on the top path (stacks only)")
+    p.add_argument("--pair", type=int,
+                   help="target pair position on the top path, default 0 (stacks only)")
     p.add_argument("--log", action="store_true", help="also print the move log")
     p.set_defaults(func=cmd_reduce)
 
@@ -423,6 +423,8 @@ def main(argv: list[str] | None = None) -> int:
         needed = 2 if args.command == "equiv" else 1
         if len(args.config) != needed:
             parser.error(f"{args.command} needs exactly {needed} --config argument(s)")
+    if getattr(args, "pair", None) is not None and args.stack is None:
+        parser.error("reduce --pair applies only to --stack input")
     try:
         inputs = _inputs(args)
         with _exact_ints():

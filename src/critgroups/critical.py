@@ -2,23 +2,36 @@
 
 The group of a graph on n vertices is Z^{n-1} modulo the column span of the
 reduced Laplacian L, and its order |K| = det L is the spanning-tree count.
-Its Smith form U L V = D gives the invariant factors d_i, and row i of U,
-taken mod d_i, maps a configuration to its coordinate in Z/d_i. A
-`CriticalGroup` keeps only those rows for the nontrivial factors, so
-element orders, equivalence and pair reports all come from one lcm over the
-coordinates (Cohen, GTM 138, section 2.4). `critical_group` computes them
-by eliminating L modulo |K| (`smith_rows_mod`), with no V and no full U;
-the integer `smith_normal_form` stays the reference the tests compare with.
+K is the direct sum of the Z/d_i over its invariant factors d_i > 1. A
+`CriticalGroup` keeps, for each d_i, a row: a coordinate map K -> Z/d_i,
+taken together an isomorphism onto the direct sum. Row i of the U of a
+Smith form U L V = D, taken mod d_i, is one such map, but any row that
+gives an isomorphism serves, so element orders, equivalence and pair
+reports all come from one lcm over the coordinates (Cohen, GTM 138,
+section 2.4).
+
+`critical_group` runs one symmetric Bareiss elimination of L with a few
+seeded right-hand sides, which gives |K| and, in the common cyclic case, a
+row that certifies K = Z/|K|. Only when the certificate fails does it
+eliminate L modulo |K| (`smith_rows_mod`), with no V and no full U; the
+integer `smith_normal_form` stays the reference the tests compare with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from random import Random
 from typing import Iterable, Sequence
 
 from .graphs import Multigraph, is_connected
-from .linalg import IntMatrix, determinant, smith_rows_mod
+from .linalg import IntMatrix, _bareiss, smith_rows_mod
+
+# Columns of the cyclic certificate in `critical_group`. For a prime p of
+# |K| whose p-part is cyclic, adj(L) b vanishes mod p for about one seeded
+# column b in p, so four columns all miss 2 with probability about 1/16
+# and an odd prime with at most 1/81.
+_CERTIFICATE_COLUMNS = 4
 
 
 def reduced_laplacian(g: Multigraph, q: int) -> IntMatrix:
@@ -60,10 +73,13 @@ def _laplacian(g: Multigraph, q: int) -> IntMatrix | None:
 
 @dataclass
 class CriticalGroup:
-    """Invariant factors d_i > 1 and, for each, row i of U reduced mod d_i.
+    """Invariant factors d_i > 1 and, for each, a row that maps K to Z/d_i.
 
-    Each row has length n with a 0 at the deleted vertex, so a full-length
-    configuration c has coordinate sum(row[v] * c[v]) in Z/d_i.
+    The rows together give an isomorphism of K onto the direct sum of the
+    Z/d_i. They are coordinate maps, not literally rows of a Smith form's U:
+    a group certified cyclic has a row that is a unit multiple, mod |K|, of
+    such a row. Each row has length n with a 0 at the deleted vertex, so a
+    full-length configuration c has coordinate sum(row[v] * c[v]) in Z/d_i.
     """
 
     invariant_factors: list[int]
@@ -74,17 +90,58 @@ class CriticalGroup:
 
 
 def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
-    """Critical group of a connected multigraph (trivial for one vertex)."""
+    """Critical group of a connected multigraph (trivial for one vertex).
+
+    One elimination of [L | B] gives D = det L and the columns u = adj(L) b
+    of a few seeded columns b. As L is symmetric, u L = D b, so c -> u.c
+    mod D is a homomorphism from K onto the subgroup of Z/D that gcd(D, u)
+    generates: an isomorphism K -> Z/D once gcd(D, u) = 1. Columns are
+    merged until that holds; if it never does, `smith_rows_mod` eliminates
+    L modulo the same D.
+    """
     if q is None:
         q = g.n - 1
     a = _laplacian(g, q)
-    order = 0 if a is None else determinant(a)
-    if order == 0:
+    order, adj_b = (0, None) if a is None else _bareiss(a, _certificate_columns(a.rows))
+    if adj_b is None:
         raise ValueError("graph must be connected")
-    factors, rows = smith_rows_mod(a, order)
+    if order == 1:
+        factors, rows = [], []
+    elif (row := _cyclic_row(order, adj_b)) is not None:
+        factors, rows = [order], [row]
+    else:
+        factors, rows = smith_rows_mod(a, order)
     for row in rows:
         row.insert(q, 0)
     return CriticalGroup(factors, order, q, g.n, rows)
+
+
+def _certificate_columns(n: int) -> list[bytes]:
+    """The n x _CERTIFICATE_COLUMNS right-hand side B, by rows: entries
+    0..255 from a generator seeded by n alone."""
+    k = _CERTIFICATE_COLUMNS
+    data = Random(n).randbytes(n * k)
+    return [data[i:i + k] for i in range(0, n * k, k)]
+
+
+def _cyclic_row(d: int, adj_b: list[list[int]]) -> list[int] | None:
+    """A row u with u L = 0 mod d and gcd(d, u) = 1, merged from the columns
+    of adj(L) B; None if the merge leaves a common prime of d and u.
+
+    u + t v, with t the part of d prime to gcd(d, u), keeps u mod every
+    prime that divides t and is t v mod the primes of gcd(d, u): only
+    primes that divide both u and v stay common, and d is never factored.
+    """
+    u, common = [0] * len(adj_b), d
+    for v in zip(*adj_b):
+        t = d
+        while (h := gcd(t, common)) > 1:
+            t //= h
+        u = [(x + t * y) % d for x, y in zip(u, v)]
+        common = gcd(d, *u)
+        if common == 1:
+            return u
+    return None
 
 
 def is_cyclic(kg: CriticalGroup) -> bool:

@@ -6,7 +6,11 @@ determinant.
 
 `determinant` is the kernel with an empty right-hand side; the search in
 `verify` runs it with the identity and reads edge deletions, element
-orders and cyclicity off det and adj by formula.
+orders and cyclicity off det and adj by formula, and `critical_group` runs
+it with a few seeded columns to certify a cyclic group. On a symmetric
+matrix, such as every reduced Laplacian, the kernel updates only the upper
+triangle, which about halves its work; a zero pivot mirrors the upper
+triangle into the lower one and the elimination goes on with row swaps.
 
 Everything runs on Python's arbitrary-precision ints; reduced-Laplacian
 minors overflow 64 bits almost immediately, so there is deliberately no
@@ -94,6 +98,14 @@ def _bareiss(a: IntMatrix, b: Sequence[Sequence[int]]) -> tuple[int, list[list[i
     for y = d a^{-1} b, the Cramer numerators: row i of y is
     (d b'_i - sum_{j>i} m_ij y_j) / m_ii, an integer, so the division is
     exact. adj(a) @ b = det(a) a^{-1} b is y up to the sign of the swaps.
+
+    Entry (i, j) of the block left after step k is a minor of a bordered
+    by row i and column j, so for a symmetric a the block stays symmetric
+    until rows are swapped. The elimination then updates only the upper
+    triangle, from the diagonal on, and takes row i's multiplier from the
+    pivot row. A zero pivot mirrors the upper triangle of the block into
+    the lower one, and elimination goes on over full rows with swaps.
+    Back substitution reads only the upper triangle, so it serves both.
     """
     if a.rows != a.cols:
         raise ValueError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
@@ -102,12 +114,18 @@ def _bareiss(a: IntMatrix, b: Sequence[Sequence[int]]) -> tuple[int, list[list[i
         raise ValueError(f"right-hand side has {len(b)} rows, expected {n}")
     if n == 0:
         return 1, []
-    m = [row + list(rhs) for row, rhs in zip(a.to_rows(), b)]
+    rows = a.to_rows()
+    symmetric = rows == list(map(list, zip(*rows)))
+    m = [row + list(rhs) for row, rhs in zip(rows, b)]
     width = len(m[0])
     sign = 1
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
+            if symmetric:
+                for i in range(k + 1, n):
+                    m[i][k:i] = [m[j][i] for j in range(k, i)]
+                symmetric = False
             i = next((i for i in range(k + 1, n) if m[i][k]), None)
             if i is None:
                 return 0, None
@@ -116,10 +134,9 @@ def _bareiss(a: IntMatrix, b: Sequence[Sequence[int]]) -> tuple[int, list[list[i
         top, p = m[k], m[k][k]
         for i in range(k + 1, n):
             row = m[i]
-            f = row[k]
-            for j in range(k + 1, width):
+            f = top[i] if symmetric else row[k]
+            for j in range(i if symmetric else k + 1, width):
                 row[j] = (row[j] * p - f * top[j]) // prev
-            row[k] = 0
         prev = p
     d = m[n - 1][n - 1]
     if d == 0:

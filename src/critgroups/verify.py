@@ -72,8 +72,6 @@ def brute_spanning_trees(g: Multigraph, limit: int = 20) -> int:
     more than MAX_SUBSETS (10^6) subsets of n - 1 of them.
     """
     instances = _edge_instances(g, limit, g.n - 1)
-    if g.n == 1:
-        return 1
     count = 0
     for subset in combinations(instances, g.n - 1):
         uf = _UnionFind(g.n)

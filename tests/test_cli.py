@@ -267,6 +267,9 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["seq", "--alt", "3"])  # one size where two are needed
     assert exc.value.code == 2 and "--alt" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "c5.txt", "--pair", "99", "--config", "1,0,-1,0,0"])  # --pair needs --stack
+    assert exc.value.code == 2 and "--pair" in capsys.readouterr().err
 
 
 def test_stdin_graph(capsys, monkeypatch):

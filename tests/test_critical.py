@@ -5,6 +5,8 @@ from math import gcd, lcm
 
 import pytest
 
+import critgroups.critical as critical
+import critgroups.linalg as linalg
 from critgroups import (
     CriticalGroup,
     IntMatrix,
@@ -313,6 +315,76 @@ def test_queries_match_snf_reference():
                 assert configuration_order(kg, diff) == ref_order(diff)
                 assert are_equivalent(kg, c1, c2) == solve_image_membership(a, restrict(diff))
             assert are_equivalent(kg, c1, c_multiple) and are_equivalent(kg, c1, c_fired)
+
+
+def _spy_smith_rows_mod(monkeypatch):
+    """Count the calls `critical_group` makes to `smith_rows_mod`."""
+    calls = []
+
+    def spy(a, det):
+        calls.append(det)
+        return smith_rows_mod(a, det)
+
+    monkeypatch.setattr(critical, "smith_rows_mod", spy)
+    return calls
+
+
+def test_cyclic_certificate_rows(monkeypatch):
+    """A group certified cyclic has one factor |K| and a row that vanishes
+    mod |K| on every column of L and has gcd 1 with |K|."""
+    calls = _spy_smith_rows_mod(monkeypatch)
+    rng = random.Random(61)
+    certified = 0
+    for _ in range(200):
+        g = random_connected_multigraph(rng, 12, 4)
+        before = len(calls)
+        kg = critical_group(g)
+        if len(calls) > before or kg.order == 1:
+            continue
+        certified += 1
+        d, q = kg.order, kg.deleted_vertex
+        assert kg.invariant_factors == [d]
+        row = [x for i, x in enumerate(kg.rows[0]) if i != q]
+        for col in zip(*reduced_laplacian(g, q).to_rows()):
+            assert sum(u * x for u, x in zip(row, col)) % d == 0
+        assert gcd(d, *row) == 1
+    assert certified > 100
+
+
+def test_cyclic_groups_need_no_second_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("second elimination")
+
+    passes = []
+
+    def count(a, b):
+        passes.append(a.rows)
+        return linalg._bareiss(a, b)
+
+    monkeypatch.setattr(critical, "smith_rows_mod", refuse)
+    monkeypatch.setattr(linalg, "determinant", refuse)
+    monkeypatch.setattr(critical, "_bareiss", count)
+    assert critical_group(wedge_3_5()).invariant_factors == [15]
+    kg = critical_group(polygon_stack((3, 5, 6, 4)).graph)
+    assert kg.invariant_factors == [kg.order] and kg.order > 1
+    assert passes == [6, 11]
+
+
+def test_certificate_falls_back_to_smith_rows(monkeypatch):
+    calls = _spy_smith_rows_mod(monkeypatch)
+    assert critical_group(complete_graph(5)).invariant_factors == [5, 5, 5]
+    assert calls == [125]
+    # seeded columns that are all even leave 2 in gcd(|K|, u) for C_6 (Z/6)
+    g = cycle_graph(6)
+    want = find_generating_pairs(g)
+    certified = critical_group(g)
+    assert len(calls) == 1
+    columns = critical._certificate_columns
+    monkeypatch.setattr(critical, "_certificate_columns", lambda n: [[2 * x for x in r] for r in columns(n)])
+    kg = critical_group(g)
+    assert calls == [125, 6]
+    assert (kg.invariant_factors, kg.order) == (certified.invariant_factors, certified.order) == ([6], 6)
+    assert find_generating_pairs(g) == want
 
 
 def _modular_cases():

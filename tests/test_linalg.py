@@ -10,6 +10,7 @@ from critgroups import (
     determinant,
     enumerate_connected_simple_graphs,
     polygon_stack,
+    random_connected_multigraph,
     reduced_laplacian,
     smith_normal_form,
     solve_image_membership,
@@ -101,6 +102,65 @@ def test_bareiss_kernel_matches_sympy():
     assert swaps and singular
     with pytest.raises(ValueError):
         _bareiss(IntMatrix(2, 2, [1, 0, 0, 1]), [[1]])
+
+
+def _symmetric_cases():
+    """Symmetric matrices whose elimination meets a zero pivot: the swap
+    matrix, a zero diagonal, a rank-one singular matrix, and seeded random
+    ones up to 6x6 with some diagonal entries zeroed."""
+    rng = random.Random(909)
+    cases = [[[0, 1], [1, 0]], [[0, 1, 2], [1, 0, 3], [2, 3, 0]], [[1, 2, 3], [2, 4, 6], [3, 6, 9]]]
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+            if rng.random() < 0.4:
+                rows[i][i] = 0
+        cases.append(rows)
+    return cases
+
+
+def test_symmetric_kernel_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(910)
+    zero_pivots = singular = 0
+    for rows in _symmetric_cases():
+        n = len(rows)
+        b = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(n)]
+        # step k pivots on the leading (k+1)-minor while no row has moved
+        zero_pivots += any(cofactor_det([r[:k] for r in rows[:k]]) == 0 for k in range(1, n))
+        ref = sympy.Matrix(rows)
+        det, adj_b = _bareiss(IntMatrix.from_rows(rows), b)
+        assert det == ref.det()
+        if det == 0:
+            singular += 1
+            assert adj_b is None
+            continue
+        want = ref.adjugate() * sympy.Matrix(b)
+        assert adj_b == [[int(want[i, j]) for j in range(2)] for i in range(n)]
+    assert zero_pivots > 10 and singular
+
+
+def test_symmetric_kernel_matches_full_elimination_on_laplacians():
+    """Adding row 1 to row 0 of both L and B keeps det L and adj(L) B but
+    breaks the symmetry, so the copy is eliminated over full rows."""
+    rng = random.Random(313)
+    graphs = [g for g in enumerate_connected_simple_graphs(5) if g.n > 2]
+    graphs += [random_connected_multigraph(rng, 12, 6) for _ in range(60)]
+
+    def shear(m):
+        return [[x + y for x, y in zip(m[0], m[1])]] + m[1:]
+
+    for g in graphs:
+        a = reduced_laplacian(g, g.n - 1).to_rows()
+        if len(a) < 2:
+            continue
+        b = [[rng.randint(-5, 5) for _ in range(3)] for _ in a]
+        full = shear(a)
+        assert full != [list(c) for c in zip(*full)]
+        assert _bareiss(IntMatrix.from_rows(a), b) == _bareiss(IntMatrix.from_rows(full), shear(b))
 
 
 def test_determinant_on_laplacians():
