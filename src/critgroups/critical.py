@@ -10,28 +10,36 @@ gives an isomorphism serves, so element orders, equivalence and pair
 reports all come from one lcm over the coordinates (Cohen, GTM 138,
 section 2.4).
 
-`critical_group` runs one symmetric Bareiss elimination of L with a few
-seeded right-hand sides, which gives |K| and, in the common cyclic case, a
-row that certifies K = Z/|K|. Only when the certificate fails does it
-eliminate L modulo |K| (`smith_rows_mod`), with no V and no full U; the
-integer `smith_normal_form` stays the reference the tests compare with.
+`critical_group` runs one symmetric Bareiss elimination of L, which gives
+|K|, and solves seeded columns off its triangle. They map K into a sum of
+copies of Z/|K|, and once the image has order |K| its Hermite and Smith
+forms give the factors and rows of K itself (Domich, Kannan and Trotter,
+Math. Oper. Res. 12, 1987). Random sandpile groups are cyclic or of small
+rank (Wood, J. AMS 30, 2017), so a few columns almost always certify K.
+Only when they do not does it eliminate L modulo |K| (`smith_rows_mod`),
+with no V and no full U; the integer `smith_normal_form` stays the
+reference the tests compare with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 from random import Random
 from typing import Iterable, Sequence
 
 from .graphs import Multigraph, is_connected
-from .linalg import IntMatrix, _bareiss, smith_rows_mod
+from .linalg import IntMatrix, _eliminate, _solve, smith_normal_form, smith_rows_mod
 
-# Columns of the cyclic certificate in `critical_group`. For a prime p of
-# |K| whose p-part is cyclic, adj(L) b vanishes mod p for about one seeded
-# column b in p, so four columns all miss 2 with probability about 1/16
-# and an odd prime with at most 1/81.
-_CERTIFICATE_COLUMNS = 4
+# Most columns of the certificate in `critical_group`. The image of K under
+# j seeded columns is all of K when, for each prime p of |K|, the columns
+# reach every direction of the p-part, which needs j at least its rank:
+# random sandpile groups almost never have a p-rank above 2 (Wood, J. AMS
+# 30, 2017), and a p-part of rank r is missed by j >= r random columns
+# with probability below p^(r-j) / (p - 1), so the columns past the rank
+# are for unlucky draws at p = 2.
+_CERTIFICATE_COLUMNS = 8
 
 
 def reduced_laplacian(g: Multigraph, q: int) -> IntMatrix:
@@ -77,8 +85,9 @@ class CriticalGroup:
 
     The rows together give an isomorphism of K onto the direct sum of the
     Z/d_i. They are coordinate maps, not literally rows of a Smith form's U:
-    a group certified cyclic has a row that is a unit multiple, mod |K|, of
-    such a row. Each row has length n with a 0 at the deleted vertex, so a
+    a certified group has rows read off the image of K under seeded
+    columns of adj(L), and any rows that give an isomorphism answer every
+    query alike. Each row has length n with a 0 at the deleted vertex, so a
     full-length configuration c has coordinate sum(row[v] * c[v]) in Z/d_i.
     """
 
@@ -92,56 +101,108 @@ class CriticalGroup:
 def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
     """Critical group of a connected multigraph (trivial for one vertex).
 
-    One elimination of [L | B] gives D = det L and the columns u = adj(L) b
-    of a few seeded columns b. As L is symmetric, u L = D b, so c -> u.c
-    mod D is a homomorphism from K onto the subgroup of Z/D that gcd(D, u)
-    generates: an isomorphism K -> Z/D once gcd(D, u) = 1. Columns are
-    merged until that holds; if it never does, `smith_rows_mod` eliminates
-    L modulo the same D.
+    One symmetric Bareiss elimination of L gives D = det L and a triangle
+    off which seeded columns b are solved one at a time: after j of them,
+    W = adj(L) B_j. As L is symmetric, (L z)^T W = D z^T B_j, so c ->
+    c^T W mod D is a homomorphism from K to (Z/D)^j; once its image has
+    order D it is injective, and `_certify` reads the factors and rows of
+    its image. The columns stop there, or when j >= 3 of them leave the
+    image short of D with j factors (K then likely has rank above j), or
+    after `_CERTIFICATE_COLUMNS`; then `smith_rows_mod` eliminates L
+    modulo the same D. Raises ValueError for a disconnected graph.
     """
     if q is None:
         q = g.n - 1
     a = _laplacian(g, q)
-    order, adj_b = (0, None) if a is None else _bareiss(a, _certificate_columns(a.rows))
-    if adj_b is None:
+    order, tri, symmetric = (0, None, False) if a is None else _eliminate(a, [[]] * a.rows)
+    if order == 0:
         raise ValueError("graph must be connected")
     if order == 1:
         factors, rows = [], []
-    elif (row := _cyclic_row(order, adj_b)) is not None:
-        factors, rows = [order], [row]
     else:
-        factors, rows = smith_rows_mod(a, order)
+        cols = []
+        for b in _certificate_columns(a.rows):
+            cols.append([x % order for x in _solve(tri, symmetric, b)])
+            factors, rows = _certify(order, cols)
+            if prod(factors) == order or len(cols) >= 3 and len(factors) == len(cols):
+                break
+        if prod(factors) != order:
+            factors, rows = smith_rows_mod(a, order)
     for row in rows:
         row.insert(q, 0)
     return CriticalGroup(factors, order, q, g.n, rows)
 
 
 def _certificate_columns(n: int) -> list[bytes]:
-    """The n x _CERTIFICATE_COLUMNS right-hand side B, by rows: entries
-    0..255 from a generator seeded by n alone."""
-    k = _CERTIFICATE_COLUMNS
-    data = Random(n).randbytes(n * k)
-    return [data[i:i + k] for i in range(0, n * k, k)]
+    """The _CERTIFICATE_COLUMNS columns of length n of the certificate's
+    right-hand side B: entries 0..255 from a generator seeded by n alone."""
+    data = Random(n).randbytes(n * _CERTIFICATE_COLUMNS)
+    return [data[i:i + n] for i in range(0, len(data), n)]
 
 
-def _cyclic_row(d: int, adj_b: list[list[int]]) -> list[int] | None:
-    """A row u with u L = 0 mod d and gcd(d, u) = 1, merged from the columns
-    of adj(L) B; None if the merge leaves a common prime of d and u.
+def _certify(d: int, cols: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Invariant factors and rows of the image of c -> c^T W mod d, for the
+    columns W of adj(L) B taken mod d = det L.
 
-    u + t v, with t the part of d prime to gcd(d, u), keeps u mod every
-    prime that divides t and is t v mod the primes of gcd(d, u): only
-    primes that divide both u and v stay common, and d is never factored.
+    The image is the lattice spanned by the rows of W and d Z^j, modulo
+    d Z^j. Its Hermite basis H mod d and the Smith form U H Q = S, with
+    s_i | d, give the image as the sum of the Z/(d/s_i), with coordinate i
+    of c^T W read as (c^T W Q)_i / s_i mod d/s_i. The factors d/s_i > 1
+    come in the chain order, and their product divides d; it is d exactly
+    when the map is injective, and then the rows describe K.
     """
-    u, common = [0] * len(adj_b), d
-    for v in zip(*adj_b):
-        t = d
-        while (h := gcd(t, common)) > 1:
-            t //= h
-        u = [(x + t * y) % d for x, y in zip(u, v)]
-        common = gcd(d, *u)
-        if common == 1:
-            return u
-    return None
+    w = list(zip(*cols))
+    if len(cols) == 1:  # H = (gcd(d, w)) is its own Smith form
+        diagonal, v = [gcd(d, *cols[0])], [[1]]
+    else:
+        dec = smith_normal_form(IntMatrix.from_rows(_hermite_mod(w, d)))
+        diagonal, v = dec.diagonal(), dec.v.to_rows()
+    factors, rows = [], []
+    for i, s in reversed(list(enumerate(diagonal))):
+        if s == d:
+            continue
+        q = [r[i] for r in v]
+        col = [sum(map(mul, x, q)) for x in w]
+        if d % s or any(x % s for x in col):
+            raise ArithmeticError(f"image factor {s} does not divide {d} and the image rows")
+        factors.append(d // s)
+        rows.append([x // s % (d // s) for x in col])
+    if d % prod(factors):
+        raise ArithmeticError(f"image of order {prod(factors)} does not divide |K| = {d}")
+    return factors, rows
+
+
+def _hermite_mod(rows: list[list[int]], d: int) -> list[list[int]]:
+    """Upper triangular basis of the lattice spanned by the rows and d Z^j,
+    computed modulo d (Domich, Kannan and Trotter, Math. Oper. Res. 12,
+    1987). Column c starts its pivot row at d e_c, which lies in the
+    lattice, and folds every row with a nonzero entry there into it by a
+    unimodular 2 x 2 step (the extended gcd), or subtracts a multiple of it
+    where the pivot already divides the entry: the pivot becomes the gcd of
+    d and the column, and the rows left span, with d Z^j, the part of the
+    lattice that is zero up to column c. The last column needs no rows left.
+    """
+    j = len(rows[0])
+    rows = [[x % d for x in r] for r in rows]
+    basis = []
+    for c in range(j):
+        h = [0] * j
+        h[c] = d
+        for r in rows:
+            x, p = r[c], h[c]
+            if x % p == 0:
+                if x and c < j - 1:
+                    f = x // p
+                    r[:] = [(y - f * z) % d for y, z in zip(r, h)]
+                continue
+            g = gcd(p, x)
+            u, v = p // g, x // g
+            s = pow(u, -1, v)
+            t = (g - s * p) // x
+            h, r[:] = ([(s * y + t * z) % d for y, z in zip(h, r)],
+                       [(v * y - u * z) % d for y, z in zip(h, r)])
+        basis.append(h)
+    return basis
 
 
 def is_cyclic(kg: CriticalGroup) -> bool:

@@ -4,13 +4,17 @@ with materialized unimodular transforms, and the invariant factors of a
 nonsingular matrix with the matching rows of U, computed modulo its
 determinant.
 
-`determinant` is the kernel with an empty right-hand side; the search in
-`verify` runs it with the identity and reads edge deletions, element
-orders and cyclicity off det and adj by formula, and `critical_group` runs
-it with a few seeded columns to certify a cyclic group. On a symmetric
-matrix, such as every reduced Laplacian, the kernel updates only the upper
-triangle, which about halves its work; a zero pivot mirrors the upper
-triangle into the lower one and the elimination goes on with row swaps.
+`determinant` is the kernel with an empty right-hand side, and the search
+in `verify` runs it with the identity and reads edge deletions, element
+orders and cyclicity off det and adj by formula. On a symmetric matrix,
+such as every reduced Laplacian, the kernel updates only the upper
+triangle, which about halves its work, and takes two pivots per pass by
+Bareiss's two-step update, which saves a product and a division per entry
+and pair; a zero pivot mirrors the upper triangle into the lower one and
+the elimination goes on with row swaps. A symmetric elimination with no
+swap keeps its multipliers in its triangle, so `critical_group` eliminates
+once with an empty right-hand side and solves its certificate columns off
+the triangle afterwards, one at a time, as it needs them.
 
 Everything runs on Python's arbitrary-precision ints; reduced-Laplacian
 minors overflow 64 bits almost immediately, so there is deliberately no
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import mul
 from typing import Sequence
 
 
@@ -88,39 +93,45 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_rows()})"
 
 
-def _bareiss(a: IntMatrix, b: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
-    """det a and adj(a) @ b for a square a and an n x k matrix b, given as
-    its rows; (0, None) when a is singular.
-
-    Bareiss fraction-free elimination of [a | b], swapping rows for zero
-    pivots, leaves an upper triangular system whose last pivot d is the
-    determinant of the row-swapped matrix. Back substitution then solves
-    for y = d a^{-1} b, the Cramer numerators: row i of y is
-    (d b'_i - sum_{j>i} m_ij y_j) / m_ii, an integer, so the division is
-    exact. adj(a) @ b = det(a) a^{-1} b is y up to the sign of the swaps.
+def _eliminate(a: IntMatrix, b: Sequence[Sequence[int]]) -> tuple[int, list[list[int]], bool]:
+    """Bareiss fraction-free elimination of [a | b] for a square a and an
+    n x k matrix b, given as its rows: (det a, the eliminated rows, whether
+    the elimination stayed symmetric). det is 0 when a is singular.
 
     Entry (i, j) of the block left after step k is a minor of a bordered
-    by row i and column j, so for a symmetric a the block stays symmetric
-    until rows are swapped. The elimination then updates only the upper
-    triangle, from the diagonal on, and takes row i's multiplier from the
-    pivot row. A zero pivot mirrors the upper triangle of the block into
-    the lower one, and elimination goes on over full rows with swaps.
-    Back substitution reads only the upper triangle, so it serves both.
+    by row i and column j, divided exactly by the previous pivot, and row k
+    ends at step k, so the rows left are an upper triangular system whose
+    last pivot is the determinant of the row-swapped matrix.
+
+    For a symmetric a the block stays symmetric until rows are swapped. The
+    elimination then updates only the upper triangle, from the diagonal
+    on, and takes two pivots per pass by Bareiss's two-step update
+    (Sylvester's identity; Bareiss, Math. Comp. 22, 1968): with p the first
+    pivot, q the second and prev the one before them,
+        row_i <- (q row_i + c1 row_k + c2 row_{k+1}) / prev,
+    where c1 and c2 are the 2 x 2 cofactors of row i's entries in columns k
+    and k+1, also divided by prev; row k+1 takes its own single step. That
+    saves a product and an exact division per entry and pair of pivots. A
+    zero second pivot or an odd tail takes the single step, and a zero
+    pivot mirrors the upper triangle of the block into the lower one, after
+    which elimination goes on over full rows with swaps. An elimination
+    that ends symmetric never swapped, and its row k holds the multipliers
+    of step k: entry (k, i) is entry (i, k) of that step's block.
     """
     if a.rows != a.cols:
         raise ValueError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
     n = a.rows
     if len(b) != n:
         raise ValueError(f"right-hand side has {len(b)} rows, expected {n}")
-    if n == 0:
-        return 1, []
     rows = a.to_rows()
     symmetric = rows == list(map(list, zip(*rows)))
     m = [row + list(rhs) for row, rhs in zip(rows, b)]
+    if n == 0:
+        return 1, m, symmetric
     width = len(m[0])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    sign = prev = 1
+    k = 0
+    while k < n - 1:
         if m[k][k] == 0:
             if symmetric:
                 for i in range(k + 1, n):
@@ -128,22 +139,51 @@ def _bareiss(a: IntMatrix, b: Sequence[Sequence[int]]) -> tuple[int, list[list[i
                 symmetric = False
             i = next((i for i in range(k + 1, n) if m[i][k]), None)
             if i is None:
-                return 0, None
+                return 0, m, False
             m[k], m[i] = m[i], m[k]
             sign = -sign
         top, p = m[k], m[k][k]
+        nxt, f, r = m[k + 1], top[k + 1], m[k + 1][k + 1]
+        if symmetric and k + 2 < n and (q := (p * r - f * f) // prev):
+            for i in range(k + 2, n):
+                row, e, g = m[i], top[i], nxt[i]
+                c1 = (f * g - r * e) // prev
+                c2 = (f * e - p * g) // prev
+                for j in range(i, width):
+                    row[j] = (row[j] * q + c1 * top[j] + c2 * nxt[j]) // prev
+            for j in range(k + 1, width):
+                nxt[j] = (nxt[j] * p - f * top[j]) // prev
+            prev = q
+            k += 2
+            continue
         for i in range(k + 1, n):
             row = m[i]
             f = top[i] if symmetric else row[k]
             for j in range(i if symmetric else k + 1, width):
                 row[j] = (row[j] * p - f * top[j]) // prev
         prev = p
-    d = m[n - 1][n - 1]
-    if d == 0:
+        k += 1
+    return sign * m[n - 1][n - 1], m, symmetric
+
+
+def _bareiss(a: IntMatrix, b: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
+    """det a and adj(a) @ b for a square a and an n x k matrix b, given as
+    its rows; (0, None) when a is singular.
+
+    `_eliminate` leaves an upper triangular system m with last pivot d.
+    Back substitution then solves for y = d a^{-1} b, the Cramer
+    numerators: row i of y is (d b'_i - sum_{j>i} m_ij y_j) / m_ii, an
+    integer, so the division is exact, and only the upper triangle is
+    read. adj(a) @ b = det(a) a^{-1} b is y up to the sign of the swaps.
+    """
+    det, m, _ = _eliminate(a, b)
+    if det == 0:
         return 0, None
+    n = a.rows
     y = [row[n:] for row in m]  # the eliminated right-hand side
-    if width == n:
-        return sign * d, y
+    if n == 0 or len(m[0]) == n:
+        return det, y
+    d = m[n - 1][n - 1]
     for i in range(n - 1, -1, -1):
         row = m[i]
         acc = [d * x for x in y[i]]
@@ -151,12 +191,36 @@ def _bareiss(a: IntMatrix, b: Sequence[Sequence[int]]) -> tuple[int, list[list[i
             f = row[j]
             if f:
                 yj = y[j]
-                for c in range(width - n):
+                for c in range(len(acc)):
                     acc[c] -= f * yj[c]
         y[i] = [x // row[i] for x in acc]
-    if sign < 0:
-        y = [[-x for x in r] for r in y]
-    return sign * d, y
+    return det, y if det == d else [[-x for x in r] for r in y]
+
+
+def _solve(m: list[list[int]], symmetric: bool, b: Sequence[int]) -> list[int]:
+    """adj(a) b for one more column b, read off the rows m of a symmetric
+    `_eliminate` of a nonsingular a: b is eliminated with the multipliers
+    m[k][i] that the triangle stores, then back-substituted as in
+    `_bareiss`, with each entry's sum taken over slices, which for a single
+    column is several times faster than that row loop. Raises ValueError
+    if the elimination swapped rows, since its rows then no longer hold its
+    multipliers."""
+    if not symmetric:
+        raise ValueError("the triangle was eliminated with row swaps, so it holds no multipliers")
+    n = len(m)
+    if len(b) != n:
+        raise ValueError(f"right-hand side has {len(b)} entries, expected {n}")
+    y = list(b)
+    prev = 1
+    for k in range(n - 1):
+        top, p, yk = m[k], m[k][k], y[k]
+        y[k + 1:] = [(x * p - f * yk) // prev for x, f in zip(y[k + 1:], top[k + 1:n])]
+        prev = p
+    d = m[n - 1][n - 1]
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        y[i] = (d * y[i] - sum(map(mul, row[i + 1:n], y[i + 1:]))) // row[i]
+    return y
 
 
 def determinant(a: IntMatrix) -> int:
@@ -165,7 +229,7 @@ def determinant(a: IntMatrix) -> int:
     Every division is exact by the Bareiss identity, so no rounding can
     occur; the 0x0 determinant is 1.
     """
-    return _bareiss(a, [[]] * a.rows)[0]
+    return _eliminate(a, [[]] * a.rows)[0]
 
 
 @dataclass

@@ -1,7 +1,7 @@
 import itertools
 import random
 from collections import deque
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -330,25 +330,30 @@ def _spy_smith_rows_mod(monkeypatch):
 
 
 def test_cyclic_certificate_rows(monkeypatch):
-    """A group certified cyclic has one factor |K| and a row that vanishes
-    mod |K| on every column of L and has gcd 1 with |K|."""
+    """A certified group has factors in the chain order that multiply to
+    |K|, and for each factor d a row that vanishes mod d on every column of
+    L and has gcd 1 with d; a cyclic one has the one factor |K|."""
     calls = _spy_smith_rows_mod(monkeypatch)
     rng = random.Random(61)
-    certified = 0
+    cyclic = non_cyclic = 0
     for _ in range(200):
         g = random_connected_multigraph(rng, 12, 4)
         before = len(calls)
         kg = critical_group(g)
         if len(calls) > before or kg.order == 1:
             continue
-        certified += 1
         d, q = kg.order, kg.deleted_vertex
-        assert kg.invariant_factors == [d]
-        row = [x for i, x in enumerate(kg.rows[0]) if i != q]
-        for col in zip(*reduced_laplacian(g, q).to_rows()):
-            assert sum(u * x for u, x in zip(row, col)) % d == 0
-        assert gcd(d, *row) == 1
-    assert certified > 100
+        factors = kg.invariant_factors
+        assert prod(factors) == d and all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        cyclic += factors == [d]
+        non_cyclic += len(factors) > 1
+        cols = list(zip(*reduced_laplacian(g, q).to_rows()))
+        for f, full in zip(factors, kg.rows):
+            row = [x for i, x in enumerate(full) if i != q]
+            for col in cols:
+                assert sum(u * x for u, x in zip(row, col)) % f == 0
+            assert gcd(f, *row) == 1
+    assert cyclic > 100 and non_cyclic > 10
 
 
 def test_cyclic_groups_need_no_second_elimination(monkeypatch):
@@ -359,30 +364,42 @@ def test_cyclic_groups_need_no_second_elimination(monkeypatch):
 
     def count(a, b):
         passes.append(a.rows)
-        return linalg._bareiss(a, b)
+        return linalg._eliminate(a, b)
 
     monkeypatch.setattr(critical, "smith_rows_mod", refuse)
     monkeypatch.setattr(linalg, "determinant", refuse)
-    monkeypatch.setattr(critical, "_bareiss", count)
+    monkeypatch.setattr(critical, "_eliminate", count)
     assert critical_group(wedge_3_5()).invariant_factors == [15]
     kg = critical_group(polygon_stack((3, 5, 6, 4)).graph)
     assert kg.invariant_factors == [kg.order] and kg.order > 1
-    assert passes == [6, 11]
+    assert critical_group(complete_graph(5)).invariant_factors == [5, 5, 5]
+    assert passes == [6, 11, 4]
 
 
 def test_certificate_falls_back_to_smith_rows(monkeypatch):
     calls = _spy_smith_rows_mod(monkeypatch)
-    assert critical_group(complete_graph(5)).invariant_factors == [5, 5, 5]
-    assert calls == [125]
-    # seeded columns that are all even leave 2 in gcd(|K|, u) for C_6 (Z/6)
+    solves = []
+
+    def count(*args):
+        solves.append(1)
+        return linalg._solve(*args)
+
+    monkeypatch.setattr(critical, "_solve", count)
+    # K_11 has rank 9: three columns give three factors short of |K|, and
+    # no more are solved
+    assert critical_group(complete_graph(11)).invariant_factors == [11] * 9
+    assert calls == [11**9] and len(solves) == 3
+    # seeded columns that are all even leave only Z/3 of C_6 (Z/6) in the
+    # image, however many of them are solved
     g = cycle_graph(6)
     want = find_generating_pairs(g)
     certified = critical_group(g)
     assert len(calls) == 1
     columns = critical._certificate_columns
-    monkeypatch.setattr(critical, "_certificate_columns", lambda n: [[2 * x for x in r] for r in columns(n)])
+    monkeypatch.setattr(critical, "_certificate_columns", lambda n: [[2 * x for x in c] for c in columns(n)])
+    solves.clear()
     kg = critical_group(g)
-    assert calls == [125, 6]
+    assert calls == [11**9, 6] and len(solves) == critical._CERTIFICATE_COLUMNS
     assert (kg.invariant_factors, kg.order) == (certified.invariant_factors, certified.order) == ([6], 6)
     assert find_generating_pairs(g) == want
 
@@ -456,3 +473,74 @@ def test_modular_rows_refuse_bad_input():
         smith_rows_mod(a, 0)
     with pytest.raises(ValueError):
         smith_rows_mod(IntMatrix.from_rows([[1, 2]]), 1)
+
+
+def _certificate_cases():
+    """Seeded multigraphs on 20 to 48 vertices, whose groups are mostly
+    cyclic or of rank 2, and wedges of three or more small ones with at
+    least 20 vertices, whose groups are direct sums of larger rank."""
+    rng = random.Random(2048)
+    found = 0
+    while found < 16:
+        g = random_connected_multigraph(rng, 48, 20)
+        if g.n >= 20:
+            found += 1
+            yield g
+    for parts in (3, 3, 4, 4, 5):
+        g = random_connected_multigraph(rng, 12, 4)
+        while g.n < 20 or parts > 1:
+            h = random_connected_multigraph(rng, 12, 4)
+            g = wedge_sum(g, rng.randrange(g.n), h, rng.randrange(h.n))
+            parts -= 1
+        yield g
+
+
+def test_certificate_matches_references(monkeypatch):
+    """Factors against the integer Smith form, and every pair report
+    against rows computed mod |K| by `smith_rows_mod`, for groups certified
+    cyclic, certified of rank 2 and 3, and left to the fallback."""
+    calls = _spy_smith_rows_mod(monkeypatch)
+    seen = set()
+    for g in _certificate_cases():
+        q = g.n - 1
+        before = len(calls)
+        kg = critical_group(g, q)
+        a = reduced_laplacian(g, q)
+        assert kg.invariant_factors == [d for d in smith_normal_form(a).diagonal() if d > 1]
+        factors, rows = smith_rows_mod(a, kg.order)
+        ref = CriticalGroup(factors, kg.order, q, g.n, [r + [0] for r in rows])
+        assert critical._pair_reports(kg) == critical._pair_reports(ref)
+        rank = len(kg.invariant_factors)
+        seen.add("fallback" if len(calls) > before else f"rank {rank}")
+    assert seen >= {"rank 1", "rank 2", "rank 3", "fallback"}
+
+
+def test_critical_group_property():
+    """Factor product against the networkx spanning-tree count, the
+    divisibility chain, and every pair order against U and D of the
+    integer Smith form, on hypothesis multigraphs."""
+    hypothesis = pytest.importorskip("hypothesis")
+    nx = pytest.importorskip("networkx")
+    from test_verify import _connected_multigraphs
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(_connected_multigraphs())
+    def check(g):
+        kg = critical_group(g)
+        factors = kg.invariant_factors
+        nxg = nx.MultiGraph()
+        nxg.add_nodes_from(range(g.n))
+        for (u, v), m in g.edge_items():
+            nxg.add_edges_from([(u, v)] * m)
+        assert prod(factors) == kg.order == round(nx.number_of_spanning_trees(nxg))
+        assert all(f > 1 for f in factors) and all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        dec = smith_normal_form(reduced_laplacian(g, kg.deleted_vertex))
+        ref = [(d, u) for d, u in zip(dec.diagonal(), dec.u.to_rows()) if d > 1]
+        assert [d for d, _ in ref] == factors
+        for x in range(g.n):
+            for y in range(x + 1, g.n):
+                b = delta_config(g, x, y)[:-1]
+                want = lcm(*(d // gcd(d, sum(ui * bi for ui, bi in zip(u, b))) for d, u in ref))
+                assert pair_report(kg, x, y).element_order == want
+
+    check()

@@ -15,7 +15,7 @@ from critgroups import (
     smith_normal_form,
     solve_image_membership,
 )
-from critgroups.linalg import _bareiss
+from critgroups.linalg import _bareiss, _eliminate, _solve
 
 
 def cofactor_det(rows):
@@ -161,6 +161,83 @@ def test_symmetric_kernel_matches_full_elimination_on_laplacians():
         full = shear(a)
         assert full != [list(c) for c in zip(*full)]
         assert _bareiss(IntMatrix.from_rows(a), b) == _bareiss(IntMatrix.from_rows(full), shear(b))
+
+
+def _second_pivot_zero_cases():
+    """Symmetric matrices at odd and even n whose elimination meets a pair
+    of pivots with the first nonzero and the second zero: the 3x3 of the
+    two-step's own example, then seeded ones up to 6x6 with small entries,
+    where that happens at the first or a later pair."""
+    yield [[1, 1, 1], [1, 1, 2], [1, 2, 1]]
+    rng = random.Random(1968)
+    for _ in range(400):
+        n = rng.randint(3, 6)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-2, 2)
+        # pivot k is the ratio of leading minors k+1 and k, pairs start at even k
+        minors = [cofactor_det([r[:k] for r in rows[:k]]) for k in range(n + 1)]
+        for k in range(0, n - 2, 2):
+            if 0 in minors[1:k + 1]:
+                break
+            if minors[k + 1] and minors[k + 2] == 0:
+                yield rows
+                break
+
+
+def test_two_step_zero_second_pivot_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(22)
+    sizes = set()
+    later_pair = 0
+    for rows in _second_pivot_zero_cases():
+        n = len(rows)
+        sizes.add(n % 2)
+        later_pair += cofactor_det([r[:2] for r in rows[:2]]) != 0
+        b = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(n)]
+        ref = sympy.Matrix(rows)
+        det, adj_b = _bareiss(IntMatrix.from_rows(rows), b)
+        assert det == ref.det()
+        if det == 0:
+            assert adj_b is None
+            continue
+        want = ref.adjugate() * sympy.Matrix(b)
+        assert adj_b == [[int(want[i, j]) for j in range(2)] for i in range(n)]
+    assert sizes == {0, 1} and later_pair > 0
+
+
+def test_triangle_solve_matches_kernel_and_sympy():
+    """Columns solved off the triangle of an elimination with an empty
+    right-hand side equal those carried through the elimination, and the
+    sympy adjugate on the smaller Laplacians."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1006)
+    graphs = [complete_graph(n) for n in (2, 3, 6, 9)]
+    graphs += [random_connected_multigraph(rng, 16, 6) for _ in range(40)]
+    for g in graphs:
+        a = reduced_laplacian(g, rng.randrange(g.n))
+        b = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(a.rows)]
+        det, tri, symmetric = _eliminate(a, [[]] * a.rows)
+        assert symmetric
+        want_det, want = _bareiss(a, b)
+        assert det == want_det
+        solved = [_solve(tri, symmetric, col) for col in zip(*b)]
+        assert solved == [list(col) for col in zip(*want)]
+        if a.rows <= 8:
+            adj = sympy.Matrix(a.to_rows()).adjugate() * sympy.Matrix(b)
+            assert solved == [[int(x) for x in adj.col(j)] for j in range(3)]
+
+
+def test_triangle_solve_refuses_swapped_triangle():
+    for rows in ([[0, 1], [1, 0]], [[1, 1, 1], [1, 1, 2], [1, 2, 1]], [[1, 2], [3, 4]]):
+        det, tri, symmetric = _eliminate(IntMatrix.from_rows(rows), [[]] * len(rows))
+        assert det != 0 and not symmetric
+        with pytest.raises(ValueError, match="row swaps"):
+            _solve(tri, symmetric, [1] * len(rows))
+    _, tri, symmetric = _eliminate(IntMatrix.from_rows([[2, -1], [-1, 2]]), [[], []])
+    with pytest.raises(ValueError, match="3 entries"):
+        _solve(tri, symmetric, [1, 2, 3])
 
 
 def test_determinant_on_laplacians():
