@@ -12,13 +12,14 @@ section 2.4).
 
 `critical_group` runs one symmetric Bareiss elimination of L, which gives
 |K|, and solves seeded columns off its triangle. They map K into a sum of
-copies of Z/|K|, and once the image has order |K| its Hermite and Smith
-forms give the factors and rows of K itself (Domich, Kannan and Trotter,
-Math. Oper. Res. 12, 1987). Random sandpile groups are cyclic or of small
-rank (Wood, J. AMS 30, 2017), so a few columns almost always certify K.
-Only when they do not does it eliminate L modulo |K| (`smith_rows_mod`),
-with no V and no full U; the integer `smith_normal_form` stays the
-reference the tests compare with.
+copies of Z/|K|, and once the image has order |K| its Hermite form modulo
+|K| (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987), put in Smith
+form modulo |K| by `linalg._smith_mod`, gives the factors and rows of K
+itself. Random sandpile groups are cyclic or of small rank (Wood, J. AMS
+30, 2017), so a few columns almost always certify K. Only when they do not
+does `smith_rows_mod` run the same modular Smith elimination on L itself,
+with no V and no full U. The integer `smith_normal_form` is never used
+here: it stays the reference the tests compare with.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from random import Random
 from typing import Iterable, Sequence
 
 from .graphs import Multigraph, is_connected
-from .linalg import IntMatrix, _eliminate, _solve, smith_normal_form, smith_rows_mod
+from .linalg import IntMatrix, _eliminate, _smith_mod, _solve, smith_rows_mod
 
 # Most columns of the certificate in `critical_group`. The image of K under
 # j seeded columns is all of K when, for each prime p of |K|, the columns
@@ -106,7 +107,7 @@ def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
     W = adj(L) B_j. As L is symmetric, (L z)^T W = D z^T B_j, so c ->
     c^T W mod D is a homomorphism from K to (Z/D)^j; once its image has
     order D it is injective, and `_certify` reads the factors and rows of
-    its image. The columns stop there, or when j >= 3 of them leave the
+    its image. The columns stop there, or when j >= 4 of them leave the
     image short of D with j factors (K then likely has rank above j), or
     after `_CERTIFICATE_COLUMNS`; then `smith_rows_mod` eliminates L
     modulo the same D. Raises ValueError for a disconnected graph.
@@ -124,7 +125,7 @@ def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
         for b in _certificate_columns(a.rows):
             cols.append([x % order for x in _solve(tri, symmetric, b)])
             factors, rows = _certify(order, cols)
-            if prod(factors) == order or len(cols) >= 3 and len(factors) == len(cols):
+            if prod(factors) == order or len(cols) >= 4 and len(factors) == len(cols):
                 break
         if prod(factors) != order:
             factors, rows = smith_rows_mod(a, order)
@@ -145,24 +146,21 @@ def _certify(d: int, cols: list[list[int]]) -> tuple[list[int], list[list[int]]]
     columns W of adj(L) B taken mod d = det L.
 
     The image is the lattice spanned by the rows of W and d Z^j, modulo
-    d Z^j. Its Hermite basis H mod d and the Smith form U H Q = S, with
-    s_i | d, give the image as the sum of the Z/(d/s_i), with coordinate i
-    of c^T W read as (c^T W Q)_i / s_i mod d/s_i. The factors d/s_i > 1
-    come in the chain order, and their product divides d; it is d exactly
-    when the map is injective, and then the rows describe K.
+    d Z^j. `_smith_mod` of the transpose of its Hermite basis H mod d gives
+    pivots s_i | d and rows u_i of its left transform U mod d, so U^T is a
+    right transform of H. The image is then the sum of the Z/(d/s_i), with
+    coordinate i of c^T W read as (c^T W u_i) / s_i mod d/s_i. The factors
+    d/s_i > 1 come in the chain order, and their product divides d; it is d
+    exactly when the map is injective, and then the rows describe K.
     """
     w = list(zip(*cols))
-    if len(cols) == 1:  # H = (gcd(d, w)) is its own Smith form
-        diagonal, v = [gcd(d, *cols[0])], [[1]]
-    else:
-        dec = smith_normal_form(IntMatrix.from_rows(_hermite_mod(w, d)))
-        diagonal, v = dec.diagonal(), dec.v.to_rows()
+    pivots, u_row = _smith_mod(zip(*_hermite_mod(w, d)), d)
     factors, rows = [], []
-    for i, s in reversed(list(enumerate(diagonal))):
+    for label, s in reversed(pivots):
         if s == d:
             continue
-        q = [r[i] for r in v]
-        col = [sum(map(mul, x, q)) for x in w]
+        u = u_row(label)
+        col = [sum(map(mul, x, u)) for x in w]
         if d % s or any(x % s for x in col):
             raise ArithmeticError(f"image factor {s} does not divide {d} and the image rows")
         factors.append(d // s)

@@ -1,8 +1,11 @@
 """Exact integer matrices: one fraction-free (Bareiss) kernel for the
 determinant and the adjugate times a right-hand side, Smith normal form
-with materialized unimodular transforms, and the invariant factors of a
-nonsingular matrix with the matching rows of U, computed modulo its
-determinant.
+with materialized unimodular transforms (the reference the tests and the
+search's re-verification use), and one Smith elimination modulo D,
+`_smith_mod`. It gives the invariant factors of a nonsingular matrix with
+the matching rows of U, computed modulo its determinant
+(`smith_rows_mod`), and the Smith form of the small Hermite basis that
+`critical_group` certifies its groups with.
 
 `determinant` is the kernel with an empty right-hand side, and the search
 in `verify` runs it with the identity and reads edge deletions, element
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 from operator import mul
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class IntMatrix:
@@ -360,41 +363,40 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     )
 
 
-def smith_rows_mod(a: IntMatrix, det: int) -> tuple[list[int], list[list[int]]]:
-    """Invariant factors d_i > 1 of a nonsingular square matrix a with
-    determinant +-det, and for each, row i of a left transform U taken
-    mod d_i, so that b -> (U b mod d_i) maps Z^n onto Z^n / a Z^n, which is
-    the direct sum of the Z/d_i. The factors come in the chain d_i | d_{i+1}.
+def _smith_mod(rows: Iterable[Sequence[int]], D: int) -> tuple[list[tuple[int, int]], Callable[[int], list[int]]]:
+    """Smith form of Z^n modulo the lattice spanned by the columns of an
+    n x m matrix, given as its rows, and D Z^n, for D > 0: every pivot as
+    (row label, s), with s | D in the chain order, and a function that
+    rebuilds, mod D, the row of the left transform U that starts as a
+    given label. A pivot's label is the input row its row started as; a
+    unit pivot has s = 1 and a row left zero s = D. So c -> ((U c)_i mod
+    s_i) maps Z^n onto the sum of the Z/s_i with that lattice as its
+    kernel, and the s_i are the gcds of D with the Smith form's diagonal
+    of the matrix, padded with D.
 
-    With D = |det|, D Z^n lies in a Z^n, so every entry is kept mod D, U is
-    needed only up to invertibility mod D, and no right transform is built
-    (Hafner and McCurley, SIAM J. Comput. 20(6), 1991; Cohen, GTM 138,
-    section 2.4). While some entry is prime to D it is the pivot (searched
-    column by column): its row clears its column mod D and its factor is 1.
-    Rows other than the pivot row are reduced only when they become pivot
-    rows. Once no unit is left, the remaining rows are reduced mod D and
-    pivoted like `smith_normal_form`: smallest entry, clear its column and
-    row, and fold in a row the pivot does not divide. A cleared pivot p is
-    replaced by gcd(p, D), because D e_t is in the lattice, and an all-zero
-    remainder has every factor equal to D.
+    Every entry is kept mod D, U is needed only up to invertibility mod D,
+    and no right transform is built (Hafner and McCurley, SIAM J. Comput.
+    20(6), 1991; Cohen, GTM 138, section 2.4). While some entry is prime to
+    D it is the pivot (searched column by column): its row clears its
+    column mod D and its s is 1. Rows other than the pivot row are reduced
+    only when they become pivot rows. Once no unit is left, the remaining
+    rows are reduced mod D and pivoted like `smith_normal_form`: smallest
+    entry, clear its column and row, and fold in a row the pivot does not
+    divide. A cleared pivot p is replaced by gcd(p, D), because D e_t is in
+    the lattice, and an all-zero remainder has every s equal to D.
 
     Column operations are not recorded, and row operations are logged
-    instead of applied to U: only the rows for d_i > 1 are rebuilt from the
-    log at the end. Raises ArithmeticError if the factors' product is not D.
+    instead of applied to U, so a caller pays only for the rows it asks for.
     """
-    if a.rows != a.cols:
-        raise ValueError(f"smith_rows_mod needs a square matrix, got {a.rows}x{a.cols}")
-    D = abs(det)
-    if D == 0:
-        raise ValueError("smith_rows_mod needs a nonsingular matrix")
-    rows = a.to_rows()
-    labels = list(range(a.rows))  # the row of a that each active row started as
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    labels = list(range(n))  # the input row that each active row started as
     # (src, dsts, cs): row dsts[k] += cs[k] * row src, by label
     log: list[tuple[int, list[int], list[int]]] = []
-    found: list[tuple[int, int]] = []  # (label, d) for each pivot with d > 1
+    pivots: list[tuple[int, int]] = []
 
     def unit_entry():
-        for j in range(len(rows)):
+        for j in range(len(rows[0]) if rows else 0):
             for i, r in enumerate(rows):
                 x = r[j] = r[j] % D
                 if gcd(x, D) == 1:
@@ -414,6 +416,7 @@ def smith_rows_mod(a: IntMatrix, det: int) -> tuple[list[int], list[list[int]]]:
                 dsts.append(labels[k])
                 cs.append(-f)
         log.append((src, dsts, cs))
+        pivots.append((src, 1))
 
     rows = [[x % D for x in r] for r in rows]
 
@@ -426,7 +429,7 @@ def smith_rows_mod(a: IntMatrix, det: int) -> tuple[list[int], list[list[int]]]:
     while rows:
         nonzero = [(x, i, j) for i, r in enumerate(rows) for j, x in enumerate(r) if x]
         if not nonzero:
-            found += [(label, D) for label in labels]
+            pivots += [(label, D) for label in labels]
             break
         _, i, j = min(nonzero)
         to_corner(i, j)
@@ -454,23 +457,42 @@ def smith_rows_mod(a: IntMatrix, det: int) -> tuple[list[int], list[list[int]]]:
                 log.append((labels[k], [labels[0]], [1]))
                 continue
             break
-        if p > 1:
-            found.append((labels[0], p))
+        pivots.append((labels[0], p))
         rows = [r[1:] for r in rows[1:]]
         labels = labels[1:]
 
-    if prod(d for _, d in found) != D:
-        raise ArithmeticError(f"invariant factors {[d for _, d in found]} do not multiply to {D}")
-    out = []
-    for label, d in found:
-        x = [0] * a.rows
+    def u_row(label: int) -> list[int]:
+        x = [0] * n
         x[label] = 1
         for src, dsts, cs in reversed(log):
             s = sum(c * x[t] for t, c in zip(dsts, cs))
             if s:
                 x[src] = (x[src] + s) % D
-        out.append([v % d for v in x])
-    return [d for _, d in found], out
+        return x
+
+    return pivots, u_row
+
+
+def smith_rows_mod(a: IntMatrix, det: int) -> tuple[list[int], list[list[int]]]:
+    """Invariant factors d_i > 1 of a nonsingular square matrix a with
+    determinant +-det, and for each, row i of a left transform U taken
+    mod d_i, so that b -> (U b mod d_i) maps Z^n onto Z^n / a Z^n, which is
+    the direct sum of the Z/d_i. The factors come in the chain d_i | d_{i+1}.
+
+    With D = |det|, D Z^n lies in a Z^n, so `_smith_mod` eliminates a
+    modulo D; its pivots s > 1 are the factors, and only their rows of U
+    are rebuilt. Raises ArithmeticError if the factors' product is not D.
+    """
+    if a.rows != a.cols:
+        raise ValueError(f"smith_rows_mod needs a square matrix, got {a.rows}x{a.cols}")
+    D = abs(det)
+    if D == 0:
+        raise ValueError("smith_rows_mod needs a nonsingular matrix")
+    pivots, u_row = _smith_mod(a.to_rows(), D)
+    found = [(label, d) for label, d in pivots if d > 1]
+    if prod(d for _, d in found) != D:
+        raise ArithmeticError(f"invariant factors {[d for _, d in found]} do not multiply to {D}")
+    return [d for _, d in found], [[v % d for v in u_row(label)] for label, d in found]
 
 
 def solve_image_membership(a: IntMatrix, b: Sequence[int]) -> bool:

@@ -368,6 +368,9 @@ def test_cyclic_groups_need_no_second_elimination(monkeypatch):
 
     monkeypatch.setattr(critical, "smith_rows_mod", refuse)
     monkeypatch.setattr(linalg, "determinant", refuse)
+    # nor the reference Smith form, for the certified non-cyclic K_5 too
+    monkeypatch.setattr(critical, "smith_normal_form", refuse, raising=False)
+    monkeypatch.setattr(linalg, "smith_normal_form", refuse)
     monkeypatch.setattr(critical, "_eliminate", count)
     assert critical_group(wedge_3_5()).invariant_factors == [15]
     kg = critical_group(polygon_stack((3, 5, 6, 4)).graph)
@@ -385,10 +388,10 @@ def test_certificate_falls_back_to_smith_rows(monkeypatch):
         return linalg._solve(*args)
 
     monkeypatch.setattr(critical, "_solve", count)
-    # K_11 has rank 9: three columns give three factors short of |K|, and
+    # K_11 has rank 9: four columns give four factors short of |K|, and
     # no more are solved
     assert critical_group(complete_graph(11)).invariant_factors == [11] * 9
-    assert calls == [11**9] and len(solves) == 3
+    assert calls == [11**9] and len(solves) == 4
     # seeded columns that are all even leave only Z/3 of C_6 (Z/6) in the
     # image, however many of them are solved
     g = cycle_graph(6)

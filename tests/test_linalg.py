@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -15,7 +16,7 @@ from critgroups import (
     smith_normal_form,
     solve_image_membership,
 )
-from critgroups.linalg import _bareiss, _eliminate, _solve
+from critgroups.linalg import _bareiss, _eliminate, _smith_mod, _solve
 
 
 def cofactor_det(rows):
@@ -304,6 +305,35 @@ def test_snf_permutation_invariance():
         perm_c = rng.sample(range(n), n)
         b = IntMatrix.from_rows([[a_rows[i][j] for j in perm_c] for i in perm_r])
         assert smith_normal_form(a).diagonal() == smith_normal_form(b).diagonal()
+
+
+def test_modular_smith_matches_reference():
+    """`_smith_mod` on seeded wide, tall and square matrices mod D: its
+    pivots are gcd(D, d) over the integer Smith form's diagonal, padded
+    with D, one for each input row; each rebuilt row of U, times the
+    matrix, vanishes mod its pivot; and the rows of U together are
+    invertible mod D. Scaled matrices and D sharing their factors leave
+    non-unit pivots and rows left zero."""
+    rng = random.Random(97)
+    seen = set()
+    for _ in range(25):
+        for r, c in ((2, 6), (3, 8), (6, 2), (7, 3), (1, 1), (4, 4), (6, 6)):
+            scale = rng.choice((1, 2, 6, 10))
+            a = IntMatrix(r, c, [scale * rng.randint(-9, 9) for _ in range(r * c)])
+            D = rng.choice((1, 5, 7, 11)) * 2 ** rng.randint(0, 5) * 3 ** rng.randint(0, 3)
+            rows = a.to_rows()
+            pivots, u_row = _smith_mod(rows, D)
+            assert rows == a.to_rows()  # the input is left as it was
+            diagonal = smith_normal_form(a).diagonal()
+            s = [gcd(D, d) for d in diagonal] + [D] * (r - len(diagonal))
+            assert [p for _, p in pivots] == s
+            assert sorted(label for label, _ in pivots) == list(range(r))
+            u = [u_row(label) for label, _ in pivots]
+            for (_, p), row in zip(pivots, u):
+                assert all(sum(x * y for x, y in zip(row, col)) % p == 0 for col in zip(*rows))
+            assert gcd(determinant(IntMatrix.from_rows(u)), D) == 1
+            seen.update("unit" if p == 1 else "zero" if p == D else "non-unit" for p in s)
+    assert seen == {"unit", "non-unit", "zero"}
 
 
 def test_image_membership():
