@@ -115,7 +115,7 @@ def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
     if q is None:
         q = g.n - 1
     a = _laplacian(g, q)
-    order, tri, symmetric = (0, None, False) if a is None else _eliminate(a, [[]] * a.rows)
+    order, tri, symmetric = (0, None, False) if a is None else _eliminate(a)
     if order == 0:
         raise ValueError("graph must be connected")
     if order == 1:

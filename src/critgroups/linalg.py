@@ -1,23 +1,23 @@
-"""Exact integer matrices: one fraction-free (Bareiss) kernel for the
-determinant and the adjugate times a right-hand side, Smith normal form
-with materialized unimodular transforms (the reference the tests and the
-search's re-verification use), and one Smith elimination modulo D,
-`_smith_mod`. It gives the invariant factors of a nonsingular matrix with
-the matching rows of U, computed modulo its determinant
-(`smith_rows_mod`), and the Smith form of the small Hermite basis that
-`critical_group` certifies its groups with.
+"""Exact integer matrices: one fraction-free (Bareiss) elimination for the
+determinant, whose symmetric triangle also gives the adjugate and adj(a) b
+by back substitution, Smith normal form with materialized unimodular
+transforms (the reference the tests and the search's re-verification
+use), and one Smith elimination modulo D, `_smith_mod`. It gives the
+invariant factors of a nonsingular matrix with the matching rows of U,
+computed modulo its determinant (`smith_rows_mod`), and the Smith form of
+the small Hermite basis that `critical_group` certifies its groups with.
 
-`determinant` is the kernel with an empty right-hand side, and the search
-in `verify` runs it with the identity and reads edge deletions, element
-orders and cyclicity off det and adj by formula. On a symmetric matrix,
-such as every reduced Laplacian, the kernel updates only the upper
-triangle, which about halves its work, and takes two pivots per pass by
-Bareiss's two-step update, which saves a product and a division per entry
-and pair; a zero pivot mirrors the upper triangle into the lower one and
-the elimination goes on with row swaps. A symmetric elimination with no
-swap keeps its multipliers in its triangle, so `critical_group` eliminates
-once with an empty right-hand side and solves its certificate columns off
-the triangle afterwards, one at a time, as it needs them.
+On a symmetric matrix, such as every reduced Laplacian, `_eliminate`
+updates only the upper triangle, which about halves its work, and takes
+two pivots per pass by Bareiss's two-step update, which saves a product
+and a division per entry and pair; a zero pivot mirrors the upper
+triangle into the lower one and the elimination goes on with row swaps.
+A symmetric elimination with no swap keeps its multipliers in its
+triangle, and one back-substitution loop, `_back`, reads everything else
+off it: `critical_group` solves its certificate columns one at a time
+with `_solve`, as it needs them, and the search in `verify` reads the
+whole adjugate with `_adjugate`, and edge deletions, element orders and
+cyclicity off det and adj by formula.
 
 Everything runs on Python's arbitrary-precision ints; reduced-Laplacian
 minors overflow 64 bits almost immediately, so there is deliberately no
@@ -96,10 +96,10 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_rows()})"
 
 
-def _eliminate(a: IntMatrix, b: Sequence[Sequence[int]]) -> tuple[int, list[list[int]], bool]:
-    """Bareiss fraction-free elimination of [a | b] for a square a and an
-    n x k matrix b, given as its rows: (det a, the eliminated rows, whether
-    the elimination stayed symmetric). det is 0 when a is singular.
+def _eliminate(a: IntMatrix) -> tuple[int, list[list[int]], bool]:
+    """Bareiss fraction-free elimination of a square a: (det a, the
+    eliminated rows, whether the elimination stayed symmetric). det is 0
+    when a is singular.
 
     Entry (i, j) of the block left after step k is a minor of a bordered
     by row i and column j, divided exactly by the previous pivot, and row k
@@ -118,20 +118,17 @@ def _eliminate(a: IntMatrix, b: Sequence[Sequence[int]]) -> tuple[int, list[list
     zero second pivot or an odd tail takes the single step, and a zero
     pivot mirrors the upper triangle of the block into the lower one, after
     which elimination goes on over full rows with swaps. An elimination
-    that ends symmetric never swapped, and its row k holds the multipliers
-    of step k: entry (k, i) is entry (i, k) of that step's block.
+    that ends symmetric never swapped and met no zero pivot before the
+    last, and its row k holds the multipliers of step k: entry (k, i) is
+    entry (i, k) of that step's block.
     """
     if a.rows != a.cols:
         raise ValueError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
     n = a.rows
-    if len(b) != n:
-        raise ValueError(f"right-hand side has {len(b)} rows, expected {n}")
-    rows = a.to_rows()
-    symmetric = rows == list(map(list, zip(*rows)))
-    m = [row + list(rhs) for row, rhs in zip(rows, b)]
+    m = a.to_rows()
+    symmetric = m == list(map(list, zip(*m)))
     if n == 0:
         return 1, m, symmetric
-    width = len(m[0])
     sign = prev = 1
     k = 0
     while k < n - 1:
@@ -152,9 +149,9 @@ def _eliminate(a: IntMatrix, b: Sequence[Sequence[int]]) -> tuple[int, list[list
                 row, e, g = m[i], top[i], nxt[i]
                 c1 = (f * g - r * e) // prev
                 c2 = (f * e - p * g) // prev
-                for j in range(i, width):
+                for j in range(i, n):
                     row[j] = (row[j] * q + c1 * top[j] + c2 * nxt[j]) // prev
-            for j in range(k + 1, width):
+            for j in range(k + 1, n):
                 nxt[j] = (nxt[j] * p - f * top[j]) // prev
             prev = q
             k += 2
@@ -162,52 +159,36 @@ def _eliminate(a: IntMatrix, b: Sequence[Sequence[int]]) -> tuple[int, list[list
         for i in range(k + 1, n):
             row = m[i]
             f = top[i] if symmetric else row[k]
-            for j in range(i if symmetric else k + 1, width):
+            for j in range(i if symmetric else k + 1, n):
                 row[j] = (row[j] * p - f * top[j]) // prev
         prev = p
         k += 1
     return sign * m[n - 1][n - 1], m, symmetric
 
 
-def _bareiss(a: IntMatrix, b: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
-    """det a and adj(a) @ b for a square a and an n x k matrix b, given as
-    its rows; (0, None) when a is singular.
-
-    `_eliminate` leaves an upper triangular system m with last pivot d.
-    Back substitution then solves for y = d a^{-1} b, the Cramer
-    numerators: row i of y is (d b'_i - sum_{j>i} m_ij y_j) / m_ii, an
-    integer, so the division is exact, and only the upper triangle is
-    read. adj(a) @ b = det(a) a^{-1} b is y up to the sign of the swaps.
-    """
-    det, m, _ = _eliminate(a, b)
-    if det == 0:
-        return 0, None
-    n = a.rows
-    y = [row[n:] for row in m]  # the eliminated right-hand side
-    if n == 0 or len(m[0]) == n:
-        return det, y
-    d = m[n - 1][n - 1]
-    for i in range(n - 1, -1, -1):
+def _back(m: list[list[int]], y: list[int], start: int) -> list[int]:
+    """Back substitution of rows start, ..., 0 of the rows m of a
+    symmetric `_eliminate`, in place, for y = adj(a) b: entries past start
+    already hold theirs, and entries up to start hold b eliminated with the
+    multipliers of m. Row i of m times y is d times that eliminated entry,
+    d = m[-1][-1], and pivot i is nonzero for every i < n - 1, so
+        y_i = (d b'_i - sum_{j>i} m_ij y_j) / m_ii,
+    an integer, and the division is exact. Entry n - 1 is its eliminated
+    entry already, so start stays below n - 1 and a singular a, whose last
+    pivot d is 0, divides by no zero."""
+    d = m[-1][-1] if m else 0
+    for i in range(start, -1, -1):
         row = m[i]
-        acc = [d * x for x in y[i]]
-        for j in range(i + 1, n):
-            f = row[j]
-            if f:
-                yj = y[j]
-                for c in range(len(acc)):
-                    acc[c] -= f * yj[c]
-        y[i] = [x // row[i] for x in acc]
-    return det, y if det == d else [[-x for x in r] for r in y]
+        y[i] = (d * y[i] - sum(map(mul, row[i + 1:], y[i + 1:]))) // row[i]
+    return y
 
 
 def _solve(m: list[list[int]], symmetric: bool, b: Sequence[int]) -> list[int]:
-    """adj(a) b for one more column b, read off the rows m of a symmetric
-    `_eliminate` of a nonsingular a: b is eliminated with the multipliers
-    m[k][i] that the triangle stores, then back-substituted as in
-    `_bareiss`, with each entry's sum taken over slices, which for a single
-    column is several times faster than that row loop. Raises ValueError
-    if the elimination swapped rows, since its rows then no longer hold its
-    multipliers."""
+    """adj(a) b for a column b, read off the rows m of a symmetric
+    `_eliminate` of a: b is eliminated with the multipliers m[k][i] that
+    the triangle stores, then back-substituted by `_back`. Raises
+    ValueError if the elimination swapped rows, since its rows then no
+    longer hold its multipliers."""
     if not symmetric:
         raise ValueError("the triangle was eliminated with row swaps, so it holds no multipliers")
     n = len(m)
@@ -217,13 +198,27 @@ def _solve(m: list[list[int]], symmetric: bool, b: Sequence[int]) -> list[int]:
     prev = 1
     for k in range(n - 1):
         top, p, yk = m[k], m[k][k], y[k]
-        y[k + 1:] = [(x * p - f * yk) // prev for x, f in zip(y[k + 1:], top[k + 1:n])]
+        y[k + 1:] = [(x * p - f * yk) // prev for x, f in zip(y[k + 1:], top[k + 1:])]
         prev = p
-    d = m[n - 1][n - 1]
-    for i in range(n - 1, -1, -1):
-        row = m[i]
-        y[i] = (d * y[i] - sum(map(mul, row[i + 1:n], y[i + 1:]))) // row[i]
-    return y
+    return _back(m, y, n - 2)
+
+
+def _adjugate(m: list[list[int]], symmetric: bool) -> list[list[int]]:
+    """adj(a), as its rows, read off the rows m of a symmetric `_eliminate`
+    of a. Column c is adj(a) e_c. Eliminated, e_c is zero above c and the
+    pivot before step c at c (1 for c = 0), as each earlier step scales
+    entry c by its pivot over the one before; as adj(a) is symmetric, the
+    column's entries below c are entry c of the columns solved before it,
+    from the last one down, so rows c, ..., 0 are one back substitution.
+    Raises ValueError if the elimination swapped rows, as `_solve` does."""
+    if not symmetric:
+        raise ValueError("the triangle was eliminated with row swaps, so it holds no multipliers")
+    n = len(m)
+    adj: list[list[int]] = [[]] * n
+    for c in range(n - 1, -1, -1):
+        y = [0] * c + [m[c - 1][c - 1] if c else 1] + [col[c] for col in adj[c + 1:]]
+        adj[c] = _back(m, y, min(c, n - 2))
+    return adj
 
 
 def determinant(a: IntMatrix) -> int:
@@ -232,7 +227,7 @@ def determinant(a: IntMatrix) -> int:
     Every division is exact by the Bareiss identity, so no rounding can
     occur; the 0x0 determinant is 1.
     """
-    return _eliminate(a, [[]] * a.rows)[0]
+    return _eliminate(a)[0]
 
 
 @dataclass

@@ -3,8 +3,8 @@ structure counts, the edge-deletion coprimality predicates, and the seeded
 search for generating-pair counterexamples.
 
 The predicates and the search make one fraction-free elimination per base
-graph, for det L and adj L of its reduced Laplacian, and read everything
-else off those by formula: |K(G)| = det L; |K(G_1)| after deleting the c
+graph, read det L and adj L of its reduced Laplacian off its symmetric
+triangle, and read everything else off those by formula: |K(G)| = det L; |K(G_1)| after deleting the c
 x-y edges is det L - c (adj_xx + adj_yy - 2 adj_xy) by the matrix
 determinant lemma, the bracket counting the two-tree spanning forests that
 separate x and y (Chaiken, SIAM J. Alg. Disc. Meth. 3, 1982); delta(x, y)
@@ -24,7 +24,8 @@ from typing import Iterator
 
 from .critical import _laplacian, delta_config, reduced_laplacian
 from .graphs import Multigraph, add_path, delete_edges, is_connected
-from .linalg import _bareiss, determinant, smith_normal_form
+from . import linalg
+from .linalg import determinant, smith_normal_form
 
 
 class _UnionFind:
@@ -130,17 +131,14 @@ def _tree_count(g: Multigraph) -> int:
 
 def _adjugate(g: Multigraph) -> tuple[int, list[list[int]] | None]:
     """det L and adj L for the Laplacian L of g reduced at its last vertex
-    q, indexed by vertex: the kernel's right-hand side has the columns e_v,
-    with e_q = 0, and a zero row is appended for q. (0, None) when g is
-    disconnected."""
+    q, indexed by vertex: adj L is read off the triangle of one symmetric
+    elimination, and a zero row and column are added at q. (0, None) when
+    g is disconnected."""
     a = _laplacian(g, g.n - 1)
-    if a is None:
+    det, tri, symmetric = (0, None, False) if a is None else linalg._eliminate(a)
+    if det == 0:
         return 0, None
-    unit = [[0] * g.n for _ in range(a.rows)]
-    for i, row in enumerate(unit):
-        row[i] = 1
-    det, adj = _bareiss(a, unit)
-    return (0, None) if adj is None else (det, adj + [[0] * g.n])
+    return det, [row + [0] for row in linalg._adjugate(tri, symmetric)] + [[0] * g.n]
 
 
 def _deletion_count(det: int, adj: list[list[int]], x: int, y: int, c: int) -> int:

@@ -16,7 +16,7 @@ from critgroups import (
     smith_normal_form,
     solve_image_membership,
 )
-from critgroups.linalg import _bareiss, _eliminate, _smith_mod, _solve
+from critgroups.linalg import _adjugate, _eliminate, _smith_mod, _solve
 
 
 def cofactor_det(rows):
@@ -67,8 +67,10 @@ def test_determinant_against_cofactor_expansion():
 
 def _kernel_cases():
     """Seeded square matrices with right-hand sides, plus the edge cases:
-    1x1, a zero leading entry (one row swap, so the sign flips), a
-    singular matrix, and a non-identity B."""
+    1x1, a zero leading entry (one row swap, so the sign flips), and a
+    singular matrix. The eliminations that end symmetric, mostly of 1x1
+    matrices, also have their adjugate and right-hand sides read off the
+    triangle."""
     rng = random.Random(606)
     cases = [
         ([[7]], [[2, -3]]),
@@ -84,25 +86,29 @@ def _kernel_cases():
     return cases
 
 
+def _sympy_rows(m):
+    return [[int(x) for x in m.row(i)] for i in range(m.rows)]
+
+
 def test_bareiss_kernel_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    assert _bareiss(IntMatrix(0, 0, []), []) == (1, [])
-    swaps = singular = 0
+    det, tri, symmetric = _eliminate(IntMatrix(0, 0, []))
+    assert (det, tri, symmetric) == (1, [], True)
+    assert _adjugate(tri, symmetric) == [] == _solve(tri, symmetric, [])
+    swaps = singular = symmetric_count = 0
     for rows, b in _kernel_cases():
         n, k = len(rows), len(b[0])
         ref = sympy.Matrix(rows)
-        det, adj_b = _bareiss(IntMatrix.from_rows(rows), b)
+        det, tri, symmetric = _eliminate(IntMatrix.from_rows(rows))
         assert det == ref.det()
-        if det == 0:
-            singular += 1
-            assert adj_b is None
-            continue
-        swaps += rows[0][0] == 0
-        want = ref.adjugate() * sympy.Matrix(n, k, [x for r in b for x in r])
-        assert adj_b == [[int(want[i, j]) for j in range(k)] for i in range(n)]
-    assert swaps and singular
-    with pytest.raises(ValueError):
-        _bareiss(IntMatrix(2, 2, [1, 0, 0, 1]), [[1]])
+        singular += det == 0
+        swaps += det != 0 and rows[0][0] == 0
+        if symmetric:
+            symmetric_count += 1
+            assert _adjugate(tri, symmetric) == _sympy_rows(ref.adjugate())
+            want = ref.adjugate() * sympy.Matrix(n, k, [x for r in b for x in r])
+            assert [_solve(tri, symmetric, col) for col in zip(*b)] == _sympy_rows(want.T)
+    assert swaps and singular and symmetric_count
 
 
 def _symmetric_cases():
@@ -126,42 +132,46 @@ def _symmetric_cases():
 def test_symmetric_kernel_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(910)
-    zero_pivots = singular = 0
+    zero_pivots = singular = singular_symmetric = 0
     for rows in _symmetric_cases():
         n = len(rows)
         b = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(n)]
         # step k pivots on the leading (k+1)-minor while no row has moved
-        zero_pivots += any(cofactor_det([r[:k] for r in rows[:k]]) == 0 for k in range(1, n))
+        zero_pivot = any(cofactor_det([r[:k] for r in rows[:k]]) == 0 for k in range(1, n))
+        zero_pivots += zero_pivot
         ref = sympy.Matrix(rows)
-        det, adj_b = _bareiss(IntMatrix.from_rows(rows), b)
+        det, tri, symmetric = _eliminate(IntMatrix.from_rows(rows))
         assert det == ref.det()
-        if det == 0:
-            singular += 1
-            assert adj_b is None
-            continue
-        want = ref.adjugate() * sympy.Matrix(b)
-        assert adj_b == [[int(want[i, j]) for j in range(2)] for i in range(n)]
-    assert zero_pivots > 10 and singular
+        singular += det == 0
+        assert symmetric is not zero_pivot
+        if symmetric:
+            # a singular one has only its last pivot zero, which is never a divisor
+            singular_symmetric += det == 0
+            assert _adjugate(tri, symmetric) == _sympy_rows(ref.adjugate())
+            want = ref.adjugate() * sympy.Matrix(b)
+            assert [_solve(tri, symmetric, col) for col in zip(*b)] == _sympy_rows(want.T)
+        else:
+            with pytest.raises(ValueError, match="row swaps"):
+                _adjugate(tri, symmetric)
+    assert zero_pivots > 10 and singular and singular_symmetric
 
 
 def test_symmetric_kernel_matches_full_elimination_on_laplacians():
-    """Adding row 1 to row 0 of both L and B keeps det L and adj(L) B but
-    breaks the symmetry, so the copy is eliminated over full rows."""
+    """Adding row 1 to row 0 of L keeps det L but breaks the symmetry, so
+    the copy is eliminated over full rows."""
     rng = random.Random(313)
     graphs = [g for g in enumerate_connected_simple_graphs(5) if g.n > 2]
     graphs += [random_connected_multigraph(rng, 12, 6) for _ in range(60)]
-
-    def shear(m):
-        return [[x + y for x, y in zip(m[0], m[1])]] + m[1:]
 
     for g in graphs:
         a = reduced_laplacian(g, g.n - 1).to_rows()
         if len(a) < 2:
             continue
-        b = [[rng.randint(-5, 5) for _ in range(3)] for _ in a]
-        full = shear(a)
+        full = [[x + y for x, y in zip(a[0], a[1])]] + a[1:]
         assert full != [list(c) for c in zip(*full)]
-        assert _bareiss(IntMatrix.from_rows(a), b) == _bareiss(IntMatrix.from_rows(full), shear(b))
+        det, _, symmetric = _eliminate(IntMatrix.from_rows(a))
+        assert symmetric
+        assert _eliminate(IntMatrix.from_rows(full))[::2] == (det, False)
 
 
 def _second_pivot_zero_cases():
@@ -188,30 +198,29 @@ def _second_pivot_zero_cases():
 
 
 def test_two_step_zero_second_pivot_matches_sympy():
+    """A zero second pivot leaves a zero pivot before the last for the
+    single step, so each of these eliminations swaps rows or stops
+    singular, and its triangle has no adjugate to read."""
     sympy = pytest.importorskip("sympy")
-    rng = random.Random(22)
     sizes = set()
-    later_pair = 0
+    later_pair = nonsingular = 0
     for rows in _second_pivot_zero_cases():
         n = len(rows)
         sizes.add(n % 2)
         later_pair += cofactor_det([r[:2] for r in rows[:2]]) != 0
-        b = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(n)]
-        ref = sympy.Matrix(rows)
-        det, adj_b = _bareiss(IntMatrix.from_rows(rows), b)
-        assert det == ref.det()
-        if det == 0:
-            assert adj_b is None
-            continue
-        want = ref.adjugate() * sympy.Matrix(b)
-        assert adj_b == [[int(want[i, j]) for j in range(2)] for i in range(n)]
-    assert sizes == {0, 1} and later_pair > 0
+        det, tri, symmetric = _eliminate(IntMatrix.from_rows(rows))
+        assert det == sympy.Matrix(rows).det()
+        nonsingular += det != 0
+        assert not symmetric
+        with pytest.raises(ValueError, match="row swaps"):
+            _adjugate(tri, symmetric)
+    assert sizes == {0, 1} and later_pair > 0 and nonsingular > 0
 
 
 def test_triangle_solve_matches_kernel_and_sympy():
-    """Columns solved off the triangle of an elimination with an empty
-    right-hand side equal those carried through the elimination, and the
-    sympy adjugate on the smaller Laplacians."""
+    """Columns solved off the triangle of an elimination equal the
+    adjugate read off the same triangle times the right-hand side, and
+    the sympy adjugate on the smaller Laplacians."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(1006)
     graphs = [complete_graph(n) for n in (2, 3, 6, 9)]
@@ -219,24 +228,26 @@ def test_triangle_solve_matches_kernel_and_sympy():
     for g in graphs:
         a = reduced_laplacian(g, rng.randrange(g.n))
         b = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(a.rows)]
-        det, tri, symmetric = _eliminate(a, [[]] * a.rows)
-        assert symmetric
-        want_det, want = _bareiss(a, b)
-        assert det == want_det
+        det, tri, symmetric = _eliminate(a)
+        assert symmetric and det == determinant(a)
+        adj = _adjugate(tri, symmetric)
         solved = [_solve(tri, symmetric, col) for col in zip(*b)]
-        assert solved == [list(col) for col in zip(*want)]
+        assert solved == [[sum(x * y for x, y in zip(row, col)) for row in adj] for col in zip(*b)]
         if a.rows <= 8:
-            adj = sympy.Matrix(a.to_rows()).adjugate() * sympy.Matrix(b)
-            assert solved == [[int(x) for x in adj.col(j)] for j in range(3)]
+            ref = sympy.Matrix(a.to_rows()).adjugate()
+            assert adj == _sympy_rows(ref)
+            assert solved == _sympy_rows((ref * sympy.Matrix(b)).T)
 
 
 def test_triangle_solve_refuses_swapped_triangle():
     for rows in ([[0, 1], [1, 0]], [[1, 1, 1], [1, 1, 2], [1, 2, 1]], [[1, 2], [3, 4]]):
-        det, tri, symmetric = _eliminate(IntMatrix.from_rows(rows), [[]] * len(rows))
+        det, tri, symmetric = _eliminate(IntMatrix.from_rows(rows))
         assert det != 0 and not symmetric
         with pytest.raises(ValueError, match="row swaps"):
             _solve(tri, symmetric, [1] * len(rows))
-    _, tri, symmetric = _eliminate(IntMatrix.from_rows([[2, -1], [-1, 2]]), [[], []])
+        with pytest.raises(ValueError, match="row swaps"):
+            _adjugate(tri, symmetric)
+    _, tri, symmetric = _eliminate(IntMatrix.from_rows([[2, -1], [-1, 2]]))
     with pytest.raises(ValueError, match="3 entries"):
         _solve(tri, symmetric, [1, 2, 3])
 
