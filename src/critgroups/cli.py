@@ -66,8 +66,8 @@ from .verify import (
 
 # Size budgets, timed on a shared 2-vCPU x86-64 host. Dense elimination
 # costs O(n^3) operations on entries that grow with n: at 150 vertices the
-# slowest eliminating commands, pairs and lorenzini on K_150, take about 2 s
-# (lorenzini_check on K_200: 6.5 s).
+# slowest eliminating commands, pairs and lorenzini on K_150, take 1.6 to
+# 2.1 s (lorenzini_check on K_200: 6.5 s).
 MAX_ELIMINATION_VERTICES = 150
 # Stacks of the commands that do not eliminate build in linear time, but a
 # reduction's chip counts grow by about two bits per level, so `reduce --log`

@@ -12,10 +12,9 @@ section 2.4).
 
 `critical_group` runs one symmetric Bareiss elimination of L, which gives
 |K|, and solves seeded columns off its triangle. They map K into a sum of
-copies of Z/|K|, and once the image has order |K| its Hermite form modulo
-|K| (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987), put in Smith
-form modulo |K| by `linalg._smith_mod`, gives the factors and rows of K
-itself. Random sandpile groups are cyclic or of small rank (Wood, J. AMS
+copies of Z/|K|, and once the image has order |K| the Smith form of the
+columns modulo |K|, by `linalg._smith_mod`, gives the factors and rows of
+K itself. Random sandpile groups are cyclic or of small rank (Wood, J. AMS
 30, 2017), so a few columns almost always certify K. Only when they do not
 does `smith_rows_mod` run the same modular Smith elimination on L itself,
 with no V and no full U. The integer `smith_normal_form` is never used
@@ -146,15 +145,15 @@ def _certify(d: int, cols: list[list[int]]) -> tuple[list[int], list[list[int]]]
     columns W of adj(L) B taken mod d = det L.
 
     The image is the lattice spanned by the rows of W and d Z^j, modulo
-    d Z^j. `_smith_mod` of the transpose of its Hermite basis H mod d gives
-    pivots s_i | d and rows u_i of its left transform U mod d, so U^T is a
-    right transform of H. The image is then the sum of the Z/(d/s_i), with
+    d Z^j. `_smith_mod` of the transpose of W, the j x n matrix whose rows
+    are the columns, gives pivots s_i | d and rows u_i of its left
+    transform U mod d. The image is then the sum of the Z/(d/s_i), with
     coordinate i of c^T W read as (c^T W u_i) / s_i mod d/s_i. The factors
     d/s_i > 1 come in the chain order, and their product divides d; it is d
     exactly when the map is injective, and then the rows describe K.
     """
     w = list(zip(*cols))
-    pivots, u_row = _smith_mod(zip(*_hermite_mod(w, d)), d)
+    pivots, u_row = _smith_mod(cols, d)
     factors, rows = [], []
     for label, s in reversed(pivots):
         if s == d:
@@ -168,39 +167,6 @@ def _certify(d: int, cols: list[list[int]]) -> tuple[list[int], list[list[int]]]
     if d % prod(factors):
         raise ArithmeticError(f"image of order {prod(factors)} does not divide |K| = {d}")
     return factors, rows
-
-
-def _hermite_mod(rows: list[list[int]], d: int) -> list[list[int]]:
-    """Upper triangular basis of the lattice spanned by the rows and d Z^j,
-    computed modulo d (Domich, Kannan and Trotter, Math. Oper. Res. 12,
-    1987). Column c starts its pivot row at d e_c, which lies in the
-    lattice, and folds every row with a nonzero entry there into it by a
-    unimodular 2 x 2 step (the extended gcd), or subtracts a multiple of it
-    where the pivot already divides the entry: the pivot becomes the gcd of
-    d and the column, and the rows left span, with d Z^j, the part of the
-    lattice that is zero up to column c. The last column needs no rows left.
-    """
-    j = len(rows[0])
-    rows = [[x % d for x in r] for r in rows]
-    basis = []
-    for c in range(j):
-        h = [0] * j
-        h[c] = d
-        for r in rows:
-            x, p = r[c], h[c]
-            if x % p == 0:
-                if x and c < j - 1:
-                    f = x // p
-                    r[:] = [(y - f * z) % d for y, z in zip(r, h)]
-                continue
-            g = gcd(p, x)
-            u, v = p // g, x // g
-            s = pow(u, -1, v)
-            t = (g - s * p) // x
-            h, r[:] = ([(s * y + t * z) % d for y, z in zip(h, r)],
-                       [(v * y - u * z) % d for y, z in zip(h, r)])
-        basis.append(h)
-    return basis
 
 
 def is_cyclic(kg: CriticalGroup) -> bool:

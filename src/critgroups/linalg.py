@@ -4,8 +4,9 @@ by back substitution, Smith normal form with materialized unimodular
 transforms (the reference the tests and the search's re-verification
 use), and one Smith elimination modulo D, `_smith_mod`. It gives the
 invariant factors of a nonsingular matrix with the matching rows of U,
-computed modulo its determinant (`smith_rows_mod`), and the Smith form of
-the small Hermite basis that `critical_group` certifies its groups with.
+computed modulo its determinant (`smith_rows_mod`), and the Smith form,
+modulo the group order, of the seeded columns that `critical_group`
+certifies its groups with.
 
 On a symmetric matrix, such as every reduced Laplacian, `_eliminate`
 updates only the upper triangle, which about halves its work, and takes
@@ -27,6 +28,7 @@ floating-point or fixed-width path anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, prod
 from operator import mul
 from typing import Callable, Iterable, Sequence
@@ -374,23 +376,33 @@ def _smith_mod(rows: Iterable[Sequence[int]], D: int) -> tuple[list[tuple[int, i
     20(6), 1991; Cohen, GTM 138, section 2.4). While some entry is prime to
     D it is the pivot (searched column by column): its row clears its
     column mod D and its s is 1. Rows other than the pivot row are reduced
-    only when they become pivot rows. Once no unit is left, the remaining
-    rows are reduced mod D and pivoted like `smith_normal_form`: smallest
-    entry, clear its column and row, and fold in a row the pivot does not
-    divide. A cleared pivot p is replaced by gcd(p, D), because D e_t is in
-    the lattice, and an all-zero remainder has every s equal to D.
+    only when they become pivot rows. Once no unit is left, the smallest
+    entry is the pivot p. A row step subtracts each row's quotient by p,
+    then takes a row with a remainder x into the pivot row by the 2 x 2
+    step [[u, v], [x/g, -p/g]], u p + v x = g = gcd(p, x). Once the column
+    is clear, p is replaced by gcd(p, D), as D e_t is in the lattice, and a
+    column step, the same 2 x 2 step on an entry that p does not divide,
+    may fill it again. A final pivot divides every later row, or a row it
+    does not divide is added to the pivot row. Each 2 x 2 step shrinks the
+    pivot, so this ends; an all-zero remainder has every s equal to D.
 
-    Column operations are not recorded, and row operations are logged
-    instead of applied to U, so a caller pays only for the rows it asks for.
+    Column operations are not recorded, and those that would only clear
+    entries of the pivot row that p divides are skipped, as that row is
+    dropped. Row operations are logged instead of applied to U, so a caller
+    pays only for the rows it asks for: `u_row` replays the log backwards,
+    a 2 x 2 step transposed.
     """
     rows = [list(r) for r in rows]
     n = len(rows)
     labels = list(range(n))  # the input row that each active row started as
-    # (src, dsts, cs): row dsts[k] += cs[k] * row src, by label
-    log: list[tuple[int, list[int], list[int]]] = []
+    # by label, (src, dsts, cs): row dsts[k] += cs[k] * row src, or
+    # (a, b, u, v, s, t): rows a, b <- u a + v b, s a + t b
+    log: list[tuple] = []
     pivots: list[tuple[int, int]] = []
 
     def unit_entry():
+        if gcd(D, *chain.from_iterable(rows)) != 1:  # no entry is prime to D
+            return None
         for j in range(len(rows[0]) if rows else 0):
             for i, r in enumerate(rows):
                 x = r[j] = r[j] % D
@@ -415,11 +427,12 @@ def _smith_mod(rows: Iterable[Sequence[int]], D: int) -> tuple[list[tuple[int, i
 
     rows = [[x % D for x in r] for r in rows]
 
-    def to_corner(i, j):
-        rows[0], rows[i] = rows[i], rows[0]
-        labels[0], labels[i] = labels[i], labels[0]
-        for r in rows:
-            r[0], r[j] = r[j], r[0]
+    def bezout(p, x):
+        # u, v, x/g, -p/g with u p + v x = g = gcd(p, x)
+        g = gcd(p, x)
+        s, t = x // g, p // g
+        u = pow(t, -1, s)
+        return u, (g - u * p) // x, s, -t
 
     while rows:
         nonzero = [(x, i, j) for i, r in enumerate(rows) for j, x in enumerate(r) if x]
@@ -427,31 +440,43 @@ def _smith_mod(rows: Iterable[Sequence[int]], D: int) -> tuple[list[tuple[int, i
             pivots += [(label, D) for label in labels]
             break
         _, i, j = min(nonzero)
-        to_corner(i, j)
+        rows[0], rows[i], labels[0], labels[i] = rows[i], rows[0], labels[i], labels[0]
+        for r in rows:
+            r[0], r[j] = r[j], r[0]
         while True:
-            top, p = rows[0], rows[0][0]
+            top = rows[0]
+            # row steps: the quotients first, then a 2 x 2 step on a remainder
+            dsts, cs = [], []
             for k in range(1, len(rows)):
-                c = rows[k][0] // p
+                c = rows[k][0] // top[0]
                 if c:
                     rows[k] = [(x - c * y) % D for x, y in zip(rows[k], top)]
-                    log.append((labels[0], [labels[k]], [-c]))
-            dirty = [k for k in range(1, len(rows)) if rows[k][0]]
-            if dirty:
-                to_corner(min(dirty, key=lambda k: rows[k][0]), 0)
-                continue
-            for j in range(1, len(top)):
-                top[j] %= p
-            dirty = [j for j in range(1, len(top)) if top[j]]
-            if dirty:
-                to_corner(0, min(dirty, key=top.__getitem__))
-                continue
-            p = top[0] = gcd(p, D)
-            k = next((k for k in range(1, len(rows)) if any(x % p for x in rows[k][1:])), None)
+                    dsts.append(labels[k])
+                    cs.append(-c)
+            if dsts:
+                log.append((labels[0], dsts, cs))
+            k = next((k for k in range(1, len(rows)) if rows[k][0]), None)
             if k is not None:
-                rows[0] = [x + y for x, y in zip(top, rows[k])]
-                log.append((labels[k], [labels[0]], [1]))
+                u, v, s, t = bezout(top[0], rows[k][0])
+                r = rows[k]
+                top[:], r[:] = ([(u * x + v * y) % D for x, y in zip(top, r)],
+                                [(s * x + t * y) % D for x, y in zip(top, r)])
+                log.append((labels[0], labels[k], u, v, s, t))
                 continue
-            break
+            # column 0 is clear below the pivot, and D e_0 is in the lattice
+            p = top[0] = gcd(top[0], D)
+            j = next((j for j in range(1, len(top)) if top[j] % p), None)
+            if j is not None:
+                # a column step, not recorded; it may fill column 0 again
+                u, v, s, t = bezout(p, top[j])
+                for r in rows:
+                    r[0], r[j] = (u * r[0] + v * r[j]) % D, (s * r[0] + t * r[j]) % D
+                continue
+            k = next((k for k in range(1, len(rows)) if any(x % p for x in rows[k][1:])), None)
+            if k is None:
+                break
+            rows[0] = [x + y for x, y in zip(top, rows[k])]
+            log.append((labels[k], [labels[0]], [1]))
         pivots.append((labels[0], p))
         rows = [r[1:] for r in rows[1:]]
         labels = labels[1:]
@@ -459,10 +484,15 @@ def _smith_mod(rows: Iterable[Sequence[int]], D: int) -> tuple[list[tuple[int, i
     def u_row(label: int) -> list[int]:
         x = [0] * n
         x[label] = 1
-        for src, dsts, cs in reversed(log):
-            s = sum(c * x[t] for t, c in zip(dsts, cs))
-            if s:
-                x[src] = (x[src] + s) % D
+        for entry in reversed(log):
+            if len(entry) == 3:
+                src, dsts, cs = entry
+                s = sum(c * x[t] for t, c in zip(dsts, cs))
+                if s:
+                    x[src] = (x[src] + s) % D
+            else:
+                a, b, u, v, s, t = entry
+                x[a], x[b] = (u * x[a] + s * x[b]) % D, (v * x[a] + t * x[b]) % D
         return x
 
     return pivots, u_row

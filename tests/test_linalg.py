@@ -324,26 +324,48 @@ def test_modular_smith_matches_reference():
     with D, one for each input row; each rebuilt row of U, times the
     matrix, vanishes mod its pivot; and the rows of U together are
     invertible mod D. Scaled matrices and D sharing their factors leave
-    non-unit pivots and rows left zero."""
+    non-unit pivots and rows left zero. Matrices shaped like the
+    certificates of `critical_group`, 1 to 8 rows of 20 to 48 residues of
+    D = f times a 64-bit number that all share a prime of f with D, have
+    no unit entry, so every pivot comes from extended-gcd steps."""
     rng = random.Random(97)
     seen = set()
+
+    def check(a, D):
+        rows = a.to_rows()
+        pivots, u_row = _smith_mod(rows, D)
+        assert rows == a.to_rows()  # the input is left as it was
+        diagonal = smith_normal_form(a).diagonal()
+        s = [gcd(D, d) for d in diagonal] + [D] * (a.rows - len(diagonal))
+        assert [p for _, p in pivots] == s
+        assert sorted(label for label, _ in pivots) == list(range(a.rows))
+        u = [u_row(label) for label, _ in pivots]
+        for (_, p), row in zip(pivots, u):
+            assert all(sum(x * y for x, y in zip(row, col)) % p == 0 for col in zip(*rows))
+        assert gcd(determinant(IntMatrix.from_rows(u)), D) == 1
+        seen.update("unit" if p == 1 else "zero" if p == D else "non-unit" for p in s)
+
     for _ in range(25):
         for r, c in ((2, 6), (3, 8), (6, 2), (7, 3), (1, 1), (4, 4), (6, 6)):
             scale = rng.choice((1, 2, 6, 10))
             a = IntMatrix(r, c, [scale * rng.randint(-9, 9) for _ in range(r * c)])
-            D = rng.choice((1, 5, 7, 11)) * 2 ** rng.randint(0, 5) * 3 ** rng.randint(0, 3)
-            rows = a.to_rows()
-            pivots, u_row = _smith_mod(rows, D)
-            assert rows == a.to_rows()  # the input is left as it was
-            diagonal = smith_normal_form(a).diagonal()
-            s = [gcd(D, d) for d in diagonal] + [D] * (r - len(diagonal))
-            assert [p for _, p in pivots] == s
-            assert sorted(label for label, _ in pivots) == list(range(r))
-            u = [u_row(label) for label, _ in pivots]
-            for (_, p), row in zip(pivots, u):
-                assert all(sum(x * y for x, y in zip(row, col)) % p == 0 for col in zip(*rows))
-            assert gcd(determinant(IntMatrix.from_rows(u)), D) == 1
-            seen.update("unit" if p == 1 else "zero" if p == D else "non-unit" for p in s)
+            check(a, rng.choice((1, 5, 7, 11)) * 2 ** rng.randint(0, 5) * 3 ** rng.randint(0, 3))
+    assert seen == {"unit", "non-unit", "zero"}
+    seen.clear()
+    for case in range(16):
+        r, c = rng.randint(1, 8), rng.randint(20, 48)
+        f = rng.choice((4, 6, 12, 30, 72, 210))
+        primes = [p for p in (2, 3, 5, 7) if f % p == 0]
+        D = f * rng.getrandbits(64)
+        if case % 2:  # each entry a multiple of some prime of f
+            rows = [[rng.choice(primes) * rng.randrange(D) % D for _ in range(c)] for _ in range(r)]
+        else:  # combinations of up to r rows, all multiples of one prime of f
+            g = rng.choice(primes)
+            base = [[g * rng.randrange(D) % D for _ in range(c)] for _ in range(rng.randint(1, r))]
+            coef = [[rng.randint(-3, 3) for _ in base] for _ in range(r)]
+            rows = [[sum(k * b[j] for k, b in zip(ks, base)) % D for j in range(c)] for ks in coef]
+        assert all(gcd(x, D) > 1 for row in rows for x in row)
+        check(IntMatrix.from_rows(rows), D)
     assert seen == {"unit", "non-unit", "zero"}
 
 
