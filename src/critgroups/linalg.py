@@ -2,11 +2,11 @@
 determinant, whose symmetric triangle also gives the adjugate and adj(a) b
 by back substitution, Smith normal form with materialized unimodular
 transforms (the reference the tests and the search's re-verification
-use), and one Smith elimination modulo D, `_smith_mod`. It gives the
-invariant factors of a nonsingular matrix with the matching rows of U,
-computed modulo its determinant (`smith_rows_mod`), and the Smith form,
-modulo the group order, of the seeded columns that `critical_group`
-certifies its groups with.
+use), and one Smith elimination modulo D, `_smith_mod`: one loop, whose
+pivot is the first entry prime to D, else the smallest residue. It gives
+the invariant factors of a nonsingular matrix and their rows of U modulo
+its determinant (`smith_rows_mod`), and the Smith form, modulo the group
+order, of the seeded columns that `critical_group` certifies groups with.
 
 On a symmetric matrix, such as every reduced Laplacian, `_eliminate`
 updates only the upper triangle, which about halves its work, and takes
@@ -373,18 +373,20 @@ def _smith_mod(rows: Iterable[Sequence[int]], D: int) -> tuple[list[tuple[int, i
 
     Every entry is kept mod D, U is needed only up to invertibility mod D,
     and no right transform is built (Hafner and McCurley, SIAM J. Comput.
-    20(6), 1991; Cohen, GTM 138, section 2.4). While some entry is prime to
-    D it is the pivot (searched column by column): its row clears its
-    column mod D and its s is 1. Rows other than the pivot row are reduced
-    only when they become pivot rows. Once no unit is left, the smallest
-    entry is the pivot p. A row step subtracts each row's quotient by p,
-    then takes a row with a remainder x into the pivot row by the 2 x 2
-    step [[u, v], [x/g, -p/g]], u p + v x = g = gcd(p, x). Once the column
-    is clear, p is replaced by gcd(p, D), as D e_t is in the lattice, and a
-    column step, the same 2 x 2 step on an entry that p does not divide,
-    may fill it again. A final pivot divides every later row, or a row it
-    does not divide is added to the pivot row. Each 2 x 2 step shrinks the
-    pivot, so this ends; an all-zero remainder has every s equal to D.
+    20(6), 1991; Cohen, GTM 138, section 2.4). One loop takes each pivot p
+    by one rule: the first entry prime to D, column by column, else the
+    smallest residue. A row step subtracts c times the pivot row from each
+    row with x under p: for a unit p, c = x / p mod D clears the column at
+    once (s = 1), and those rows stay unreduced until a search past column
+    0; else c is the quotient, and then the 2 x 2 step [[u, v], [x/g,
+    -p/g]], u p + v x = g = gcd(p, x), takes a row with a remainder x into
+    the pivot row. Once the column is clear, p is replaced by gcd(p, D), as
+    D e_t is in the lattice, and a column step, the same 2 x 2 step on an
+    entry that p does not divide, may fill it again. A final pivot divides
+    every later row, or a row it does not divide is added to the pivot row.
+    Each 2 x 2 step shrinks the pivot, so this ends; an all-zero remainder
+    has every s equal to D. Once D and the entries left share a factor, as
+    after a final pivot above 1, so do all later ones: no unit is sought.
 
     Column operations are not recorded, and those that would only clear
     entries of the pivot row that p divides are skipped, as that row is
@@ -399,33 +401,7 @@ def _smith_mod(rows: Iterable[Sequence[int]], D: int) -> tuple[list[tuple[int, i
     # (a, b, u, v, s, t): rows a, b <- u a + v b, s a + t b
     log: list[tuple] = []
     pivots: list[tuple[int, int]] = []
-
-    def unit_entry():
-        if gcd(D, *chain.from_iterable(rows)) != 1:  # no entry is prime to D
-            return None
-        for j in range(len(rows[0]) if rows else 0):
-            for i, r in enumerate(rows):
-                x = r[j] = r[j] % D
-                if gcd(x, D) == 1:
-                    return i, j
-        return None
-
-    while (pick := unit_entry()) is not None:
-        i, j = pick
-        top, src = rows.pop(i), labels.pop(i)
-        inv = pow(top.pop(j), -1, D)
-        top = [x % D for x in top]
-        dsts, cs = [], []
-        for k, r in enumerate(rows):
-            f = r.pop(j) * inv % D
-            if f:
-                rows[k] = [x - f * y for x, y in zip(r, top)]
-                dsts.append(labels[k])
-                cs.append(-f)
-        log.append((src, dsts, cs))
-        pivots.append((src, 1))
-
-    rows = [[x % D for x in r] for r in rows]
+    units = True  # False once no entry can be prime to D
 
     def bezout(p, x):
         # u, v, x/g, -p/g with u p + v x = g = gcd(p, x)
@@ -435,26 +411,45 @@ def _smith_mod(rows: Iterable[Sequence[int]], D: int) -> tuple[list[tuple[int, i
         return u, (g - u * p) // x, s, -t
 
     while rows:
-        nonzero = [(x, i, j) for i, r in enumerate(rows) for j, x in enumerate(r) if x]
-        if not nonzero:
-            pivots += [(label, D) for label in labels]
-            break
-        _, i, j = min(nonzero)
+        # the pivot: the first entry prime to D, column by column, else the smallest residue
+        pick = None
+        if units and rows[0]:
+            pick = next(((i, 0) for i, r in enumerate(rows) if gcd(r[0], D) == 1), None)
+            if pick is None:
+                rows = [[x % D for x in r] for r in rows]
+                units = gcd(D, *chain.from_iterable(rows)) == 1  # else gcd(D, block) divides all later entries
+                pick = units and next(((i, j) for j in range(1, len(rows[0])) for i, r in enumerate(rows)
+                                       if gcd(r[j], D) == 1), None)
+        if not pick:
+            nonzero = [(x, i, j) for i, r in enumerate(rows) for j, x in enumerate(r) if x]
+            if not nonzero:
+                pivots += [(label, D) for label in labels]
+                break
+            pick = min(nonzero)[1:]
+        i, j = pick
         rows[0], rows[i], labels[0], labels[i] = rows[i], rows[0], labels[i], labels[0]
-        for r in rows:
-            r[0], r[j] = r[j], r[0]
+        if j:
+            for r in rows:
+                r[0], r[j] = r[j], r[0]
         while True:
             top = rows[0]
-            # row steps: the quotients first, then a 2 x 2 step on a remainder
+            # row steps: c = x / p mod D for a unit p, else the quotients and a 2 x 2 step
+            unit = units and gcd(top[0], D) == 1
+            if unit:  # column 0 is sliced off, so the step skips its products
+                inv, top[:] = pow(top[0], -1, D), [0] + [x % D for x in top[1:]]
             dsts, cs = [], []
             for k in range(1, len(rows)):
-                c = rows[k][0] // top[0]
+                c = rows[k][0] * inv % D if unit else rows[k][0] // top[0]
                 if c:
-                    rows[k] = [(x - c * y) % D for x, y in zip(rows[k], top)]
+                    rows[k] = ([x - c * y for x, y in zip(rows[k], top)] if unit else
+                               [(x - c * y) % D for x, y in zip(rows[k], top)])
                     dsts.append(labels[k])
                     cs.append(-c)
             if dsts:
                 log.append((labels[0], dsts, cs))
+            if unit:
+                p = 1
+                break
             k = next((k for k in range(1, len(rows)) if rows[k][0]), None)
             if k is not None:
                 u, v, s, t = bezout(top[0], rows[k][0])

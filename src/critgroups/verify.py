@@ -274,6 +274,7 @@ def enumerate_connected_simple_graphs(max_vertices: int) -> Iterator[Multigraph]
 # Counterexample search harness
 
 MAX_SAMPLE_VERTICES = 200
+MAX_SAMPLE_EXTRA_EDGES = 100_000  # one random pair is drawn for each
 
 
 @dataclass
@@ -301,7 +302,7 @@ def coprime_pair_search(
     up to max_vertices (at most 7); otherwise `trials` seeded multigraph
     samples, each with at most max_vertices vertices, which must be at most
     200 (a sample draws for every vertex pair, and each graph is eliminated
-    densely).
+    densely), and up to max_extra_edges edge bumps, from 0 to 100,000.
 
     Generation is tested only for coprime deletions: delta(x, y) is read
     off the adjugate only then.
@@ -309,6 +310,9 @@ def coprime_pair_search(
     if not exhaustive and max_vertices > MAX_SAMPLE_VERTICES:
         raise ValueError(f"max_vertices must be at most {MAX_SAMPLE_VERTICES} for the random search, "
                          f"got {max_vertices}")
+    if not exhaustive and not 0 <= max_extra_edges <= MAX_SAMPLE_EXTRA_EDGES:
+        raise ValueError(f"max_extra_edges must be from 0 to {MAX_SAMPLE_EXTRA_EDGES} for the random search, "
+                         f"got {max_extra_edges}")
     params = {
         "max_vertices": max_vertices,
         "max_extra_edges": max_extra_edges,

@@ -246,6 +246,10 @@ def test_size_budgets_exit_1(capsys, tmp_path):
     # random-mode search: every sample draws all vertex pairs
     code, _, err = run(capsys, "search", "--max-vertices", "100000", "--trials", "1")
     assert code == 1 and "max_vertices" in err and "200" in err
+    # each multiplicity bump is a draw too; a negative count is refused by name
+    for bumps in ("3000000", "100001", "-3"):
+        code, _, err = run(capsys, "search", "--max-extra-edges", bumps, "--trials", "1")
+        assert code == 1 and "max_extra_edges" in err and "100000" in err and bumps in err
     # brute force: C(60, 19) subsets of a 20-vertex graph with 60 edges
     edges = [(v, v + 1) for v in range(19)] + [(u, v) for u in range(20) for v in range(u + 2, 20)][:41]
     g = tmp_path / "dense.txt"

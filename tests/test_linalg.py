@@ -14,8 +14,10 @@ from critgroups import (
     random_connected_multigraph,
     reduced_laplacian,
     smith_normal_form,
+    smith_rows_mod,
     solve_image_membership,
 )
+from critgroups import linalg
 from critgroups.linalg import _adjugate, _eliminate, _smith_mod, _solve
 
 
@@ -318,7 +320,19 @@ def test_snf_permutation_invariance():
         assert smith_normal_form(a).diagonal() == smith_normal_form(b).diagonal()
 
 
-def test_modular_smith_matches_reference():
+def _spy(monkeypatch, name, real):
+    """Record the arguments of every call `linalg` makes to `name`."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, name, spy, raising=False)
+    return calls
+
+
+def test_modular_smith_matches_reference(monkeypatch):
     """`_smith_mod` on seeded wide, tall and square matrices mod D: its
     pivots are gcd(D, d) over the integer Smith form's diagonal, padded
     with D, one for each input row; each rebuilt row of U, times the
@@ -327,7 +341,11 @@ def test_modular_smith_matches_reference():
     non-unit pivots and rows left zero. Matrices shaped like the
     certificates of `critical_group`, 1 to 8 rows of 20 to 48 residues of
     D = f times a 64-bit number that all share a prime of f with D, have
-    no unit entry, so every pivot comes from extended-gcd steps."""
+    no unit entry, so every pivot comes from extended-gcd steps.
+
+    Small blocks mix the two kinds of pivot, and the calls to pow show the
+    path each takes: pow(p, -1, D) inverts a unit pivot, and any other pow
+    belongs to a 2 x 2 step."""
     rng = random.Random(97)
     seen = set()
 
@@ -367,6 +385,44 @@ def test_modular_smith_matches_reference():
         assert all(gcd(x, D) > 1 for row in rows for x in row)
         check(IntMatrix.from_rows(rows), D)
     assert seen == {"unit", "non-unit", "zero"}
+
+    def steps(rows, D):
+        with monkeypatch.context() as m:
+            calls = _spy(m, "pow", pow)
+            _smith_mod(rows, D)
+        check(IntMatrix.from_rows(rows), D)
+        return ["unit" if args[2] == D else "2x2" for args in calls]
+
+    # no entry is prime to 6, but gcd(6, 2, 3) = 1: a 2 x 2 step leaves the
+    # pivot 1, and the unit step clears its column; the entry left, 5 mod 6,
+    # is a unit pivot after it
+    assert steps([[2, 3], [3, 2]], 6) == ["2x2", "unit", "unit"]
+    # the same, and then the rows of the second unit step, left unreduced,
+    # meet the non-unit pivot 2
+    assert steps([[2, 3, 4], [3, 2, 0], [4, 0, 6]], 12) == ["2x2", "unit", "unit"]
+    # a unit pivot first; a 2 x 2 step then leaves a unit, and another follows
+    assert steps([[2, 3, 2], [3, 4, 0], [0, 6, 5]], 6) == ["unit", "2x2", "unit", "unit"]
+    # the unit step leaves the rows [0, -2, 4] and [0, 4, 2], with no unit
+    # left, and the smallest residue of them, 2, is the next pivot
+    assert steps([[1, 5, 5], [1, 3, 9], [1, 9, 7]], 12) == ["unit"]
+
+
+def test_modular_smith_call_budget(monkeypatch):
+    """`smith_rows_mod` on K_30 and K_60, whose n - 2 invariant factors are
+    all n: the quotient pass clears each column with at most a few 2 x
+    2 steps, so pow is called twice, where 2 x 2 steps alone call it 352
+    and 1,509 times. Once D and the block share a factor, as they do after
+    the first pivot, no unit is left and the search for one stops: gcd is
+    called about twice a pivot, where a search that never stops calls it
+    494 and 1,889 times."""
+    for m in (30, 60):
+        a = reduced_laplacian(complete_graph(m), m - 1)
+        det = determinant(a)
+        with monkeypatch.context() as mp:
+            pows, gcds = _spy(mp, "pow", pow), _spy(mp, "gcd", gcd)
+            assert smith_rows_mod(a, det)[0] == [m] * (m - 2)
+        assert len(pows) <= 4
+        assert len(gcds) <= 3 * m
 
 
 def test_image_membership():
