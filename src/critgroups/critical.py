@@ -6,31 +6,35 @@ K is the direct sum of the Z/d_i over its invariant factors d_i > 1. A
 `CriticalGroup` keeps, for each d_i, a row: a coordinate map K -> Z/d_i,
 taken together an isomorphism onto the direct sum. Row i of the U of a
 Smith form U L V = D, taken mod d_i, is one such map, but any row that
-gives an isomorphism serves, so element orders, equivalence and pair
-reports all come from one lcm over the coordinates (Cohen, GTM 138,
-section 2.4).
+gives an isomorphism serves, so element orders and equivalence come from
+one lcm over the coordinates (Cohen, GTM 138, section 2.4), and the pair
+scan from one gcd of the coordinates scaled into Z/e, e the exponent.
 
-`critical_group` runs one symmetric Bareiss elimination of L, which gives
-|K|, and solves seeded columns off its triangle. They map K into a sum of
-copies of Z/|K|, and once the image has order |K| the Smith form of the
-columns modulo |K|, by `linalg._smith_mod`, gives the factors and rows of
-K itself. Random sandpile groups are cyclic or of small rank (Wood, J. AMS
-30, 2017), so a few columns almost always certify K. Only when they do not
-does `smith_rows_mod` run the same modular Smith elimination on L itself,
-with no V and no full U. The integer `smith_normal_form` is never used
-here: it stays the reference the tests compare with.
+`critical_group` factors L once, by `linalg._factor_laplacian`, which
+gives |K| and a solve for adj(L) b, and solves seeded columns with it. On
+a sparse graph, such as a polygon stack, the factorization is a
+fraction-free elimination in a minimum-degree order; on a dense one it is
+the dense symmetric Bareiss elimination; either gives the same columns.
+They map K into a sum of copies of Z/|K|, and once the image has order |K|
+the Smith form of the columns modulo |K|, by `linalg._smith_mod`, gives
+the factors and rows of K itself. Random sandpile groups are cyclic or of
+small rank (Wood, J. AMS 30, 2017), so a few columns almost always certify
+K. Only when they do not does `smith_rows_mod` run the same modular Smith
+elimination on L itself, built densely only then, with no V and no full
+U. The integer `smith_normal_form` is never used here: it stays the
+reference the tests compare with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from operator import mul
+from operator import mul, sub
 from random import Random
 from typing import Iterable, Sequence
 
 from .graphs import Multigraph, is_connected
-from .linalg import IntMatrix, _eliminate, _smith_mod, _solve, smith_rows_mod
+from .linalg import IntMatrix, _factor_laplacian, _laplacian, _smith_mod, smith_rows_mod
 
 # Most columns of the certificate in `critical_group`. The image of K under
 # j seeded columns is all of K when, for each prime p of |K|, the columns
@@ -55,30 +59,6 @@ def reduced_laplacian(g: Multigraph, q: int) -> IntMatrix:
     return _laplacian(g, q)
 
 
-def _laplacian(g: Multigraph, q: int) -> IntMatrix | None:
-    """Reduced Laplacian filled from the degrees and the edge list, with no
-    connectivity check: its determinant is the spanning-tree count, 0
-    exactly when g is disconnected (0x0, determinant 1, for one vertex).
-    None when g has fewer distinct edges than a spanning tree, so that a
-    disconnected graph on many vertices never gets its dense matrix."""
-    if not (0 <= q < g.n):
-        raise ValueError(f"vertex {q} out of range for n={g.n}")
-    edges = g.edge_items()
-    if len(edges) < g.n - 1:
-        return None
-    m = g.n - 1
-    entries = [0] * (m * m)
-    for v in range(g.n):
-        if v != q:
-            i = v - (v > q)
-            entries[i * m + i] = g.degree(v)
-    for (u, v), mult in edges:
-        if q not in (u, v):
-            i, j = u - (u > q), v - (v > q)
-            entries[i * m + j] = entries[j * m + i] = -mult
-    return IntMatrix(m, m, entries)
-
-
 @dataclass
 class CriticalGroup:
     """Invariant factors d_i > 1 and, for each, a row that maps K to Z/d_i.
@@ -101,33 +81,32 @@ class CriticalGroup:
 def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
     """Critical group of a connected multigraph (trivial for one vertex).
 
-    One symmetric Bareiss elimination of L gives D = det L and a triangle
-    off which seeded columns b are solved one at a time: after j of them,
-    W = adj(L) B_j. As L is symmetric, (L z)^T W = D z^T B_j, so c ->
-    c^T W mod D is a homomorphism from K to (Z/D)^j; once its image has
-    order D it is injective, and `_certify` reads the factors and rows of
-    its image. The columns stop there, or when j >= 4 of them leave the
-    image short of D with j factors (K then likely has rank above j), or
-    after `_CERTIFICATE_COLUMNS`; then `smith_rows_mod` eliminates L
+    One factorization of L gives D = det L and a solve, by which seeded
+    columns b are solved one at a time: after j of them, W = adj(L) B_j.
+    As L is symmetric, (L z)^T W = D z^T B_j, so c -> c^T W mod D is a
+    homomorphism from K to (Z/D)^j; once its image has order D it is
+    injective, and `_certify` reads the factors and rows of its image. The
+    columns stop there, or when j >= 4 of them leave the image short of D
+    with j factors (K then likely has rank above j), or after
+    `_CERTIFICATE_COLUMNS`; then `smith_rows_mod` eliminates the dense L
     modulo the same D. Raises ValueError for a disconnected graph.
     """
     if q is None:
         q = g.n - 1
-    a = _laplacian(g, q)
-    order, tri, symmetric = (0, None, False) if a is None else _eliminate(a)
+    order, solve = _factor_laplacian(g, q)
     if order == 0:
         raise ValueError("graph must be connected")
     if order == 1:
         factors, rows = [], []
     else:
         cols = []
-        for b in _certificate_columns(a.rows):
-            cols.append([x % order for x in _solve(tri, symmetric, b)])
+        for b in _certificate_columns(g.n - 1):
+            cols.append([x % order for x in solve(b)])
             factors, rows = _certify(order, cols)
             if prod(factors) == order or len(cols) >= 4 and len(factors) == len(cols):
                 break
         if prod(factors) != order:
-            factors, rows = smith_rows_mod(a, order)
+            factors, rows = smith_rows_mod(_laplacian(g, q), order)
     for row in rows:
         row.insert(q, 0)
     return CriticalGroup(factors, order, q, g.n, rows)
@@ -229,7 +208,20 @@ def find_generating_pairs(g: Multigraph) -> list[PairReport]:
 
 
 def _pair_reports(kg: CriticalGroup) -> list[PairReport]:
-    return [pair_report(kg, x, y) for x in range(kg.n) for y in range(x + 1, kg.n)]
+    """`pair_report` for every pair, with one gcd a pair. Coordinate i,
+    scaled by e/d_i for the exponent e = d_r, maps K into Z/e, and the
+    order of w is the lcm of the d_i / gcd(d_i, w_i) = e / gcd(e, w_i e/d_i),
+    which is e / gcd(e, w_1 e/d_1, ..., w_r e/d_r)."""
+    e = kg.invariant_factors[-1] if kg.invariant_factors else 1
+    scaled = [[x * (e // d) for x in row] for d, row in zip(kg.invariant_factors, kg.rows)]
+    at = list(zip(*scaled)) if scaled else [()] * kg.n  # the scaled coordinates of each vertex
+    reports = []
+    for x in range(kg.n):
+        ax = at[x]
+        for y in range(x + 1, kg.n):
+            order = e // gcd(e, *map(sub, ax, at[y]))
+            reports.append(PairReport(x, y, order, order == kg.order))
+    return reports
 
 
 # ----------------------------------------------------------------------------

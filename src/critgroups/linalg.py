@@ -15,10 +15,20 @@ and a division per entry and pair; a zero pivot mirrors the upper
 triangle into the lower one and the elimination goes on with row swaps.
 A symmetric elimination with no swap keeps its multipliers in its
 triangle, and one back-substitution loop, `_back`, reads everything else
-off it: `critical_group` solves its certificate columns one at a time
-with `_solve`, as it needs them, and the search in `verify` reads the
-whole adjugate with `_adjugate`, and edge deletions, element orders and
-cyclicity off det and adj by formula.
+off it: `_solve` gives adj(a) b for one column, and the search in `verify`
+reads the whole adjugate with `_adjugate`, and edge deletions, element
+orders and cyclicity off det and adj by formula.
+
+A graph's reduced Laplacian L has one entry, `_factor_laplacian`, which
+gives det L and a solve b -> adj(L) b; `critical_group` and the tree count
+in `verify` read it and never learn which kernel ran. A sparse L, such as
+a polygon stack's, is eliminated by `sparse._sparse_factor` straight from the
+edge list, fraction-free in a minimum-degree order and with lazy scaling
+per entry, so that its work follows the fill, not n^3. It gives up as
+soon as its estimated work, weighted by its higher cost per entry,
+exceeds the dense kernel's m^3 / 6 for an m x m L, which for a dense graph
+happens before its first step; L is then built densely and goes through
+`_eliminate` and `_solve`.
 
 Everything runs on Python's arbitrary-precision ints; reduced-Laplacian
 minors overflow 64 bits almost immediately, so there is deliberately no
@@ -32,6 +42,8 @@ from itertools import chain
 from math import gcd, prod
 from operator import mul
 from typing import Callable, Iterable, Sequence
+
+from .sparse import _sparse_factor
 
 
 class IntMatrix:
@@ -230,6 +242,54 @@ def determinant(a: IntMatrix) -> int:
     occur; the 0x0 determinant is 1.
     """
     return _eliminate(a)[0]
+
+
+def _laplacian(g, q: int, edges: Sequence[tuple[tuple[int, int], int]] | None = None) -> IntMatrix | None:
+    """Reduced Laplacian of the multigraph g at vertex q, filled from the
+    degrees and the edge list (g.edge_items(), unless the caller has it),
+    with no connectivity check: its determinant is the spanning-tree count,
+    0 exactly when g is disconnected (0x0, determinant 1, for one vertex).
+    None when g has fewer distinct edges than a spanning tree, so that a
+    disconnected graph on many vertices never gets its dense matrix."""
+    if not (0 <= q < g.n):
+        raise ValueError(f"vertex {q} out of range for n={g.n}")
+    if edges is None:
+        edges = g.edge_items()
+    if len(edges) < g.n - 1:
+        return None
+    m = g.n - 1
+    entries = [0] * (m * m)
+    for v in range(g.n):
+        if v != q:
+            i = v - (v > q)
+            entries[i * m + i] = g.degree(v)
+    for (u, v), mult in edges:
+        if q not in (u, v):
+            i, j = u - (u > q), v - (v > q)
+            entries[i * m + j] = entries[j * m + i] = -mult
+    return IntMatrix(m, m, entries)
+
+
+def _factor_laplacian(g, q: int) -> tuple[int, Callable[[Sequence[int]], list[int]] | None]:
+    """det L for the Laplacian L of the multigraph g reduced at q, and a
+    solve b -> adj(L) b, b and the result indexed as L is (the vertices
+    other than q, in order). (0, None) when g is disconnected, without
+    building a row when g has fewer distinct edges than a spanning tree.
+
+    `_sparse_factor` eliminates L in a minimum-degree order unless its work
+    estimate exceeds the dense kernel's; then L is built densely,
+    eliminated by `_eliminate` and solved by `_solve`. Both give the same
+    det and the same adj(L) b, which are unique."""
+    if not (0 <= q < g.n):
+        raise ValueError(f"vertex {q} out of range for n={g.n}")
+    edges = g.edge_items()
+    if len(edges) < g.n - 1:
+        return 0, None
+    sparse = _sparse_factor(g.n, edges, q)
+    if sparse is not None:
+        return sparse
+    det, tri, symmetric = _eliminate(_laplacian(g, q, edges))
+    return (det, lambda b: _solve(tri, symmetric, b)) if det else (0, None)
 
 
 @dataclass

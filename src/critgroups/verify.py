@@ -22,10 +22,10 @@ from itertools import combinations
 from math import comb, gcd, lcm, prod
 from typing import Iterator
 
-from .critical import _laplacian, delta_config, reduced_laplacian
+from .critical import delta_config, reduced_laplacian
 from .graphs import Multigraph, add_path, delete_edges, is_connected
 from . import linalg
-from .linalg import determinant, smith_normal_form
+from .linalg import _laplacian, smith_normal_form
 
 
 class _UnionFind:
@@ -123,10 +123,10 @@ class LorenziniReport:
 
 
 def _tree_count(g: Multigraph) -> int:
-    """Spanning-tree count: the reduced-Laplacian determinant, 0 when the
-    graph is disconnected and 1 for a single vertex."""
-    a = _laplacian(g, g.n - 1)
-    return 0 if a is None else determinant(a)
+    """Spanning-tree count: the reduced-Laplacian determinant, by the
+    sparse or the dense kernel as `linalg._factor_laplacian` picks, 0 when
+    the graph is disconnected and 1 for a single vertex."""
+    return linalg._factor_laplacian(g, g.n - 1)[0]
 
 
 def _adjugate(g: Multigraph) -> tuple[int, list[list[int]] | None]:
@@ -302,7 +302,8 @@ def coprime_pair_search(
     up to max_vertices (at most 7); otherwise `trials` seeded multigraph
     samples, each with at most max_vertices vertices, which must be at most
     200 (a sample draws for every vertex pair, and each graph is eliminated
-    densely), and up to max_extra_edges edge bumps, from 0 to 100,000.
+    densely), and up to max_extra_edges edge bumps, from 0 to 100,000;
+    `trials` must not be negative.
 
     Generation is tested only for coprime deletions: delta(x, y) is read
     off the adjugate only then.
@@ -313,6 +314,8 @@ def coprime_pair_search(
     if not exhaustive and not 0 <= max_extra_edges <= MAX_SAMPLE_EXTRA_EDGES:
         raise ValueError(f"max_extra_edges must be from 0 to {MAX_SAMPLE_EXTRA_EDGES} for the random search, "
                          f"got {max_extra_edges}")
+    if not exhaustive and trials < 0:
+        raise ValueError(f"trials must be nonnegative for the random search, got {trials}")
     params = {
         "max_vertices": max_vertices,
         "max_extra_edges": max_extra_edges,

@@ -7,6 +7,7 @@ import pytest
 
 import critgroups.critical as critical
 import critgroups.linalg as linalg
+import critgroups.sparse as sparse
 from critgroups import (
     CriticalGroup,
     IntMatrix,
@@ -26,10 +27,12 @@ from critgroups import (
     pair_report,
     polygon_stack,
     random_connected_multigraph,
+    reduce_to_pair,
     reduced_laplacian,
     smith_normal_form,
     smith_rows_mod,
     solve_image_membership,
+    tree_count,
     wedge_sum,
 )
 
@@ -356,22 +359,67 @@ def test_cyclic_certificate_rows(monkeypatch):
     assert cyclic > 100 and non_cyclic > 10
 
 
+def test_certificate_rows_match_the_paper_reduction():
+    """The paper's reduction is an oracle for the certificate of a polygon
+    stack, whose group K is cyclic of order T = tree_count(ks):
+    `reduce_to_pair` takes e_v - e_q onto a_v delta(x, y) for a pair (x, y)
+    of consecutive top-path vertices, and delta(x, y) generates K. So the
+    certificate row, which maps e_v - e_q to row[v], is v -> a_v mod T
+    times the one unit row[x] - row[y]. Seeded stacks of at most 40
+    vertices, half with random attach positions, most of them large enough
+    for `critical_group` to factor L sparsely."""
+    rng = random.Random(1985)
+    went_sparse, sizes = 0, []
+    for _ in range(40):
+        ks = [rng.randint(3, 6)]
+        n, cap = ks[0], rng.randint(6, 40)
+        while n + (k := rng.randint(2, 6)) - 2 <= cap:
+            ks.append(k)
+            n += k - 2
+        ks = tuple(ks)
+        positions = [rng.randrange(ks[0] if i == 0 else ks[i] - 1) for i in range(len(ks) - 1)]
+        sg = polygon_stack(ks, positions if rng.random() < 0.5 else None)
+        g = sg.graph
+        assert g.n == n <= 40
+        sizes.append(n)
+        went_sparse += sparse._sparse_factor(g.n, g.edge_items(), g.n - 1) is not None
+        kg = critical_group(g)
+        t, q = kg.order, kg.deleted_vertex
+        assert t == tree_count(ks) and kg.invariant_factors == ([t] if t > 1 else [])
+        top = sg.paths[-1]
+        pos = rng.randrange(len(top) if len(sg.paths) == 1 else len(top) - 1)
+        x, y = top[pos], top[(pos + 1) % len(top)]
+        chips = []
+        for v in range(g.n):
+            c = [0] * g.n
+            c[v] += 1
+            c[q] -= 1
+            out, _ = reduce_to_pair(sg, c, pos)
+            assert all(out[u] == 0 for u in range(g.n) if u not in (x, y))
+            chips.append(out[x] % t)
+        row = kg.rows[0] if kg.rows else [0] * g.n
+        unit = (row[x] - row[y]) % t
+        assert gcd(unit, t) == 1
+        assert [r % t for r in row] == [unit * a % t for a in chips]
+    assert went_sparse > 30 and min(sizes) < 16 and max(sizes) > 35
+
+
 def test_cyclic_groups_need_no_second_elimination(monkeypatch):
     def refuse(*args):
         raise AssertionError("second elimination")
 
     passes = []
 
-    def count(a):
-        passes.append(a.rows)
-        return linalg._eliminate(a)
+    def count(g, q):
+        passes.append(g.n - 1)
+        return linalg._factor_laplacian(g, q)
 
     monkeypatch.setattr(critical, "smith_rows_mod", refuse)
     monkeypatch.setattr(linalg, "determinant", refuse)
     # nor the reference Smith form, for the certified non-cyclic K_5 too
     monkeypatch.setattr(critical, "smith_normal_form", refuse, raising=False)
     monkeypatch.setattr(linalg, "smith_normal_form", refuse)
-    monkeypatch.setattr(critical, "_eliminate", count)
+    monkeypatch.setattr(critical, "_factor_laplacian", count)
     assert critical_group(wedge_3_5()).invariant_factors == [15]
     kg = critical_group(polygon_stack((3, 5, 6, 4)).graph)
     assert kg.invariant_factors == [kg.order] and kg.order > 1
@@ -383,11 +431,16 @@ def test_certificate_falls_back_to_smith_rows(monkeypatch):
     calls = _spy_smith_rows_mod(monkeypatch)
     solves = []
 
-    def count(*args):
-        solves.append(1)
-        return linalg._solve(*args)
+    def count(g, q):
+        det, solve = linalg._factor_laplacian(g, q)
 
-    monkeypatch.setattr(critical, "_solve", count)
+        def counted(b):
+            solves.append(1)
+            return solve(b)
+
+        return det, counted
+
+    monkeypatch.setattr(critical, "_factor_laplacian", count)
     # K_11 has rank 9: four columns give four factors short of |K|, and
     # no more are solved
     assert critical_group(complete_graph(11)).invariant_factors == [11] * 9

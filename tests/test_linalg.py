@@ -6,6 +6,7 @@ import pytest
 
 from critgroups import (
     IntMatrix,
+    Multigraph,
     complete_graph,
     cycle_graph,
     determinant,
@@ -17,7 +18,7 @@ from critgroups import (
     smith_rows_mod,
     solve_image_membership,
 )
-from critgroups import linalg
+from critgroups import linalg, sparse
 from critgroups.linalg import _adjugate, _eliminate, _smith_mod, _solve
 
 
@@ -252,6 +253,98 @@ def test_triangle_solve_refuses_swapped_triangle():
     _, tri, symmetric = _eliminate(IntMatrix.from_rows([[2, -1], [-1, 2]]))
     with pytest.raises(ValueError, match="3 entries"):
         _solve(tri, symmetric, [1, 2, 3])
+
+
+def _random_stack(rng, levels):
+    """A seeded polygon stack, with random attach positions half the time."""
+    ks = tuple(rng.randint(2, 6) for _ in range(levels))
+    positions = [rng.randrange(ks[0] if i == 0 else ks[i] - 1) for i in range(len(ks) - 1)]
+    return polygon_stack(ks, positions if rng.random() < 0.5 else None).graph
+
+
+def _path_with_chords(rng, n):
+    edges = {(i, i + 1): 1 for i in range(n - 1)}
+    for _ in range(n // 5 + 1):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges[u, v] = edges.get((u, v), 0) + 1
+    return Multigraph(n, edges)
+
+
+def test_sparse_kernel_matches_dense_and_sympy(monkeypatch):
+    """det L and adj(L) b of the minimum-degree kernel equal those of the
+    dense `_eliminate` and `_solve` at several q, and sympy's on the
+    smaller Laplacians, on sparse graphs (stacks, paths with chords) and on
+    dense ones, which the kernel is made to run to the end."""
+    sympy = pytest.importorskip("sympy")
+    monkeypatch.setattr(sparse, "_SPARSE_COST", 1e-9)
+    rng = random.Random(1995)
+    graphs = [_random_stack(rng, rng.randint(1, 10)) for _ in range(30)]
+    graphs += [_path_with_chords(rng, n) for n in (2, 5, 12, 30)]
+    graphs += [random_connected_multigraph(rng, 14, 4) for _ in range(30)]
+    graphs += [complete_graph(n) for n in (2, 5, 9)] + [cycle_graph(n) for n in (2, 7)]
+    for g in graphs:
+        for q in sorted({0, rng.randrange(g.n), g.n - 1}):
+            a = reduced_laplacian(g, q)
+            det, tri, symmetric = _eliminate(a)
+            sparse_det, solve = sparse._sparse_factor(g.n, g.edge_items(), q)
+            assert sparse_det == det > 0
+            b = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(a.rows)]
+            solved = [solve(col) for col in zip(*b)]
+            assert solved == [_solve(tri, symmetric, col) for col in zip(*b)]
+            if a.rows <= 6:
+                ref = sympy.Matrix(a.to_rows())
+                assert sparse_det == ref.det()
+                assert solved == _sympy_rows((ref.adjugate() * sympy.Matrix(b)).T)
+            with pytest.raises(ValueError, match="expected"):
+                solve([1] * (a.rows + 1))
+
+
+def test_sparse_kernel_stops_at_a_zero_pivot(monkeypatch):
+    """A disconnected graph with as many distinct edges as a spanning tree
+    passes the edge-count refusal. Its Laplacian is positive semidefinite
+    and singular, so some pivot is 0, and both the kernel and the entry
+    give det 0 and no solve, at every q."""
+    monkeypatch.setattr(sparse, "_SPARSE_COST", 1e-9)
+    k4_and_triangle = Multigraph(7, [*itertools.combinations(range(4), 2), (4, 5), (5, 6), (4, 6)])
+    seven_cycle = {(7 + i, 7 + (i + 1) % 7): 1 for i in range(7)}
+    stack_and_cycle = Multigraph(14, {**polygon_stack((4, 4, 3)).graph.edge_dict(), **seven_cycle})
+    k5_and_isolated = Multigraph(6, itertools.combinations(range(5), 2))
+    for g in (k4_and_triangle, stack_and_cycle, k5_and_isolated):
+        assert len(g.edge_items()) >= g.n - 1
+        for q in range(g.n):
+            assert determinant(linalg._laplacian(g, q)) == 0
+            assert sparse._sparse_factor(g.n, g.edge_items(), q) == (0, None)
+            assert linalg._factor_laplacian(g, q) == (0, None)
+
+
+class _Unread(list):
+    """Edge items that may be counted but not read."""
+
+    def __iter__(self):
+        raise AssertionError("the sparse kernel read the edges")
+
+
+def test_kernel_dispatch_by_work_estimate():
+    """Random multigraphs of 20 to 48 vertices, as dense as the
+    benchmark's, give up on the sparse kernel from their edge count alone,
+    before a row is built, and run densely; polygon stacks of 16 or more
+    vertices, and paths with chords, run sparse. The entry gives the same
+    det either way."""
+    rng = random.Random(7)
+    dense = 0
+    while dense < 60:
+        g = random_connected_multigraph(rng, 60, 30)
+        if 20 <= g.n <= 48:
+            dense += 1
+            assert sparse._sparse_factor(g.n, _Unread(g.edge_items()), g.n - 1) is None
+            assert linalg._factor_laplacian(g, g.n - 1)[0] == determinant(reduced_laplacian(g, g.n - 1))
+    graphs = [_random_stack(rng, rng.randint(6, 40)) for _ in range(60)]
+    graphs += [polygon_stack((4,) * m).graph for m in (7, 20, 100)]
+    graphs += [_path_with_chords(rng, n) for n in (16, 50, 200)]
+    for g in graphs:
+        if g.n >= 16:
+            result = sparse._sparse_factor(g.n, g.edge_items(), g.n - 1)
+            assert result is not None and result[0] == determinant(linalg._laplacian(g, g.n - 1))
 
 
 def test_determinant_on_laplacians():
