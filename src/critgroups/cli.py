@@ -283,8 +283,8 @@ def cmd_lorenzini(args, inp: Inputs) -> Output:
 def cmd_search(args, inp: Inputs) -> Output:
     outcome = coprime_pair_search(
         max_vertices=args.max_vertices,
-        max_extra_edges=args.max_extra_edges,
-        trials=args.trials,
+        max_extra_edges=2 if args.max_extra_edges is None else args.max_extra_edges,
+        trials=args.trials or 0,
         seed=args.seed,
         exhaustive=args.exhaustive,
     )
@@ -393,10 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="scan for generating-pair counterexamples")
     _add_common(p, graph_source=False)
     p.add_argument("--max-vertices", type=int, default=5)
-    p.add_argument("--max-extra-edges", type=int, default=2)
-    p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--exhaustive", action="store_true")
+    # None marks an option not given: the random search defaults it (2 and
+    # 0 trials), and an exhaustive search, which draws nothing, refuses it
+    p.add_argument("--max-extra-edges", type=int, help="default 2")
+    p.add_argument("--trials", type=int, help="default 0")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--exhaustive", action="store_true",
+                   help="walk every labeled connected simple graph; takes no sample options")
     p.set_defaults(func=cmd_search)
 
     return parser
@@ -426,6 +429,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{args.command} needs exactly {needed} --config argument(s)")
     if getattr(args, "pair", None) is not None and args.stack is None:
         parser.error("reduce --pair applies only to --stack input")
+    if getattr(args, "exhaustive", False):
+        given = [f"--{o}" for o in ("max-extra-edges", "trials", "seed")
+                 if getattr(args, o.replace("-", "_")) is not None]
+        if given:
+            parser.error(f"search --exhaustive draws no samples, so it takes no {', '.join(given)}")
     try:
         inputs = _inputs(args)
         with _exact_ints():

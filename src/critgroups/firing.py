@@ -87,9 +87,10 @@ def reduce_on_cycle(g: Multigraph, c: Sequence[int]) -> tuple[list[int], MoveLog
 
     The output is (0, ..., 0, m, -m); m is recoverable as the next-to-last
     entry. Requires the canonical cycle labeling (edges i, i+1 mod n). The
-    cycle is the one-level stack (n,), reduced onto its pair n - 2.
+    cycle is the one-level stack (n,), reduced onto its pair n - 2. A graph
+    whose edge count is not n is refused before the cycle is built.
     """
-    if not (g.n >= 3 and g == cycle_graph(g.n)):
+    if not (g.n >= 3 and g.edge_count() == g.n and g == cycle_graph(g.n)):
         raise ValueError("reduce_on_cycle needs a canonical cycle on >= 3 vertices")
     return reduce_to_pair(polygon_stack((g.n,)), c, g.n - 2)
 

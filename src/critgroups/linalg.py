@@ -2,11 +2,13 @@
 determinant, whose symmetric triangle also gives the adjugate and adj(a) b
 by back substitution, Smith normal form with materialized unimodular
 transforms (the reference the tests and the search's re-verification
-use), and one Smith elimination modulo D, `_smith_mod`: one loop, whose
-pivot is the first entry prime to D, else the smallest residue. It gives
-the invariant factors of a nonsingular matrix and their rows of U modulo
-its determinant (`smith_rows_mod`), and the Smith form, modulo the group
-order, of the seeded columns that `critical_group` certifies groups with.
+use), and one Smith elimination modulo D, `_smith_mod`: one loop with
+one pivot rule, an entry whose gcd with D is g = gcd(D, block), and one
+row step that clears its column, folding rows and columns into such an
+entry where none is found. It gives the invariant factors of a
+nonsingular matrix and their rows of U modulo its determinant
+(`smith_rows_mod`), and the Smith form, modulo the group order, of the
+seeded columns that `critical_group` certifies groups with.
 
 On a symmetric matrix, such as every reduced Laplacian, `_eliminate`
 updates only the upper triangle, which about halves its work, and takes
@@ -433,121 +435,89 @@ def _smith_mod(rows: Iterable[Sequence[int]], D: int) -> tuple[list[tuple[int, i
 
     Every entry is kept mod D, U is needed only up to invertibility mod D,
     and no right transform is built (Hafner and McCurley, SIAM J. Comput.
-    20(6), 1991; Cohen, GTM 138, section 2.4). One loop takes each pivot p
-    by one rule: the first entry prime to D, column by column, else the
-    smallest residue. A row step subtracts c times the pivot row from each
-    row with x under p: for a unit p, c = x / p mod D clears the column at
-    once (s = 1), and those rows stay unreduced until a search past column
-    0; else c is the quotient, and then the 2 x 2 step [[u, v], [x/g,
-    -p/g]], u p + v x = g = gcd(p, x), takes a row with a remainder x into
-    the pivot row. Once the column is clear, p is replaced by gcd(p, D), as
-    D e_t is in the lattice, and a column step, the same 2 x 2 step on an
-    entry that p does not divide, may fill it again. A final pivot divides
-    every later row, or a row it does not divide is added to the pivot row.
-    Each 2 x 2 step shrinks the pivot, so this ends; an all-zero remainder
-    has every s equal to D. Once D and the entries left share a factor, as
-    after a final pivot above 1, so do all later ones: no unit is sought.
-
-    Column operations are not recorded, and those that would only clear
-    entries of the pivot row that p divides are skipped, as that row is
-    dropped. Row operations are logged instead of applied to U, so a caller
-    pays only for the rows it asks for: `u_row` replays the log backwards,
-    a 2 x 2 step transposed.
+    20(6), 1991). As every residue is a unit times its gcd with D
+    (Storjohann, Algorithms for Matrix Canonical Forms, ETH Zurich 2000),
+    one rule takes each pivot x: with g = gcd(D, block), gcd(x, D) = g. It
+    is a unit in column 0 while g may be 1, else the smallest residue if
+    its gcd is g, else the first entry whose gcd is. One row step, c =
+    (y/g) (x/g)^-1 mod D/g, clears every y under x, and s = g; the pivot
+    row is dropped, as g divides it and column steps would touch only it.
+    If no entry has gcd g, column 0 += t column j, not recorded, and then
+    row 0 += t row k fold the block into x, each with the least t >= 0
+    that takes the gcd down to gcd(D, both), which exists by CRT. Row
+    operations are logged instead of applied to U, so a caller pays only
+    for the rows it asks for: `u_row` replays the log backwards.
     """
     rows = [list(r) for r in rows]
     n = len(rows)
     labels = list(range(n))  # the input row that each active row started as
-    # by label, (src, dsts, cs): row dsts[k] += cs[k] * row src, or
-    # (a, b, u, v, s, t): rows a, b <- u a + v b, s a + t b
-    log: list[tuple] = []
+    log: list[tuple[int, list[int], list[int]]] = []  # by label, (src, dsts, cs): row dsts[k] += cs[k] * row src
     pivots: list[tuple[int, int]] = []
-    units = True  # False once no entry can be prime to D
+    g = 1  # gcd(D, block), which divides every later entry
 
-    def bezout(p, x):
-        # u, v, x/g, -p/g with u p + v x = g = gcd(p, x)
-        g = gcd(p, x)
-        s, t = x // g, p // g
-        u = pow(t, -1, s)
-        return u, (g - u * p) // x, s, -t
+    def least_t(a: list[int], b: list[int]) -> int:
+        # the least t >= 0 with gcd(D, a + t b) = gcd(D, a, b), for vectors a, b; it avoids one
+        # class mod each prime of D, so by Jacobsthal's function it is far below the bound
+        h = gcd(D, *a, *b)
+        for t in range(D.bit_length() ** 2):
+            if gcd(D, *[x + t * y for x, y in zip(a, b)]) == h:
+                return t
+        raise ArithmeticError("no t folds the gcd down to gcd(D, a, b)")
 
     while rows:
-        # the pivot: the first entry prime to D, column by column, else the smallest residue
-        pick = None
-        if units and rows[0]:
-            pick = next(((i, 0) for i, r in enumerate(rows) if gcd(r[0], D) == 1), None)
-            if pick is None:
+        j, fold = 0, False  # while g may be 1, a unit in column 0 first
+        i = next((i for i, r in enumerate(rows) if r and gcd(r[0], D) == 1), None) if g == 1 else None
+        if i is None:
+            if g == 1:  # the unit steps before left their rows unreduced
                 rows = [[x % D for x in r] for r in rows]
-                units = gcd(D, *chain.from_iterable(rows)) == 1  # else gcd(D, block) divides all later entries
-                pick = units and next(((i, j) for j in range(1, len(rows[0])) for i, r in enumerate(rows)
-                                       if gcd(r[j], D) == 1), None)
-        if not pick:
-            nonzero = [(x, i, j) for i, r in enumerate(rows) for j, x in enumerate(r) if x]
-            if not nonzero:
+            g = gcd(D, *chain.from_iterable(rows))
+            if g == D:
                 pivots += [(label, D) for label in labels]
                 break
-            pick = min(nonzero)[1:]
-        i, j = pick
+            x = min(filter(None, chain.from_iterable(rows)))
+            if gcd(x, D) != g:
+                x = next((y for y in chain.from_iterable(rows) if gcd(y, D) == g), x)
+                fold = gcd(x, D) != g
+            i = next(i for i, r in enumerate(rows) if x in r)
+            j = rows[i].index(x)
         rows[0], rows[i], labels[0], labels[i] = rows[i], rows[0], labels[i], labels[0]
         if j:
             for r in rows:
                 r[0], r[j] = r[j], r[0]
-        while True:
-            top = rows[0]
-            # row steps: c = x / p mod D for a unit p, else the quotients and a 2 x 2 step
-            unit = units and gcd(top[0], D) == 1
-            if unit:  # column 0 is sliced off, so the step skips its products
-                inv, top[:] = pow(top[0], -1, D), [0] + [x % D for x in top[1:]]
-            dsts, cs = [], []
+        top = rows[0]
+        if fold:  # gcd(D, column 0) = g, and then gcd(D, top[0]) = g
+            for j in range(1, len(top)):
+                if t := least_t([r[0] for r in rows], [r[j] for r in rows]):
+                    for r in rows:
+                        r[0] = (r[0] + t * r[j]) % D
             for k in range(1, len(rows)):
-                c = rows[k][0] * inv % D if unit else rows[k][0] // top[0]
-                if c:
-                    rows[k] = ([x - c * y for x, y in zip(rows[k], top)] if unit else
-                               [(x - c * y) % D for x, y in zip(rows[k], top)])
-                    dsts.append(labels[k])
-                    cs.append(-c)
-            if dsts:
-                log.append((labels[0], dsts, cs))
-            if unit:
-                p = 1
-                break
-            k = next((k for k in range(1, len(rows)) if rows[k][0]), None)
-            if k is not None:
-                u, v, s, t = bezout(top[0], rows[k][0])
-                r = rows[k]
-                top[:], r[:] = ([(u * x + v * y) % D for x, y in zip(top, r)],
-                                [(s * x + t * y) % D for x, y in zip(top, r)])
-                log.append((labels[0], labels[k], u, v, s, t))
-                continue
-            # column 0 is clear below the pivot, and D e_0 is in the lattice
-            p = top[0] = gcd(top[0], D)
-            j = next((j for j in range(1, len(top)) if top[j] % p), None)
-            if j is not None:
-                # a column step, not recorded; it may fill column 0 again
-                u, v, s, t = bezout(p, top[j])
-                for r in rows:
-                    r[0], r[j] = (u * r[0] + v * r[j]) % D, (s * r[0] + t * r[j]) % D
-                continue
-            k = next((k for k in range(1, len(rows)) if any(x % p for x in rows[k][1:])), None)
-            if k is None:
-                break
-            rows[0] = [x + y for x, y in zip(top, rows[k])]
-            log.append((labels[k], [labels[0]], [1]))
-        pivots.append((labels[0], p))
+                if t := least_t([top[0]], [rows[k][0]]):
+                    top[:] = [(x + t * y) % D for x, y in zip(top, rows[k])]
+                    log.append((labels[k], [labels[0]], [t]))
+        x, Dg = top[0], D // g
+        inv = 1 if x == g else pow(x // g, -1, Dg)
+        if g == 1:
+            top[:] = [y % D for y in top]
+        top[0] = 0  # column 0 is sliced off, so the row step skips its products
+        dsts, cs = [], []
+        for k in range(1, len(rows)):
+            if c := rows[k][0] // g * inv % Dg:
+                rows[k] = ([y - c * z for y, z in zip(rows[k], top)] if g == 1 else
+                           [(y - c * z) % D for y, z in zip(rows[k], top)])
+                dsts.append(labels[k])
+                cs.append(-c)
+        if dsts:
+            log.append((labels[0], dsts, cs))
+        pivots.append((labels[0], g))
         rows = [r[1:] for r in rows[1:]]
         labels = labels[1:]
 
     def u_row(label: int) -> list[int]:
         x = [0] * n
         x[label] = 1
-        for entry in reversed(log):
-            if len(entry) == 3:
-                src, dsts, cs = entry
-                s = sum(c * x[t] for t, c in zip(dsts, cs))
-                if s:
-                    x[src] = (x[src] + s) % D
-            else:
-                a, b, u, v, s, t = entry
-                x[a], x[b] = (u * x[a] + s * x[b]) % D, (v * x[a] + t * x[b]) % D
+        for src, dsts, cs in reversed(log):
+            if s := sum(c * x[t] for t, c in zip(dsts, cs)):
+                x[src] = (x[src] + s) % D
         return x
 
     return pivots, u_row

@@ -277,6 +277,15 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["reduce", "c5.txt", "--pair", "99", "--config", "1,0,-1,0,0"])  # --pair needs --stack
     assert exc.value.code == 2 and "--pair" in capsys.readouterr().err
+    # an exhaustive search draws no samples, so it refuses the sample
+    # options instead of echoing values it ignored, even a default one
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--exhaustive", "--trials", "5", "--seed", "3"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "--trials, --seed" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--exhaustive", "--max-extra-edges", "2"])
+    assert exc.value.code == 2 and "--max-extra-edges" in capsys.readouterr().err
 
 
 def test_stdin_graph(capsys, monkeypatch):

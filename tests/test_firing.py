@@ -18,6 +18,7 @@ from critgroups import (
     reduce_to_pair,
     replay_log,
 )
+from critgroups import firing
 
 
 def paw_graph():
@@ -98,6 +99,17 @@ def test_reduce_on_cycle_errors():
         reduce_on_cycle(not_cycle, [0, 0, 0, 0])
     with pytest.raises(ValueError):
         reduce_on_cycle(cycle_graph(2), [0, 0])
+
+
+def test_reduce_on_cycle_refuses_by_edge_count(monkeypatch):
+    """A one-edge graph on 10^6 vertices is refused by its edge count,
+    without building the 10^6-cycle it would be compared with."""
+    def refuse(m):
+        raise AssertionError(f"cycle_graph({m}) was built")
+
+    monkeypatch.setattr(firing, "cycle_graph", refuse)
+    with pytest.raises(ValueError, match="canonical cycle"):
+        reduce_on_cycle(Multigraph(10**6, {(0, 1): 1}), [1, -1])
 
 
 def test_reduce_on_cycle_multiple_classifies_mod_n():

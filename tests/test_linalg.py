@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from math import gcd
 
 import pytest
@@ -434,11 +435,15 @@ def test_modular_smith_matches_reference(monkeypatch):
     non-unit pivots and rows left zero. Matrices shaped like the
     certificates of `critical_group`, 1 to 8 rows of 20 to 48 residues of
     D = f times a 64-bit number that all share a prime of f with D, have
-    no unit entry, so every pivot comes from extended-gcd steps.
+    no unit entry, so every pivot is a non-unit or is made by a fold, as
+    are those of three fixed blocks where no single entry has gcd(D,
+    block).
 
-    Small blocks mix the two kinds of pivot, and the calls to pow show the
-    path each takes: pow(p, -1, D) inverts a unit pivot, and any other pow
-    belongs to a 2 x 2 step."""
+    Small blocks mix the kinds of pivot, and `steps` shows the path each
+    takes: a fold step is a nonzero t returned by the fold's search
+    `least_t`, seen by a profile hook; pow(x, -1, D) inverts a unit pivot
+    x, pow(x/g, -1, D/g) a non-unit one, and a pivot x equal to g needs
+    no pow."""
     rng = random.Random(97)
     seen = set()
 
@@ -461,6 +466,8 @@ def test_modular_smith_matches_reference(monkeypatch):
             scale = rng.choice((1, 2, 6, 10))
             a = IntMatrix(r, c, [scale * rng.randint(-9, 9) for _ in range(r * c)])
             check(a, rng.choice((1, 5, 7, 11)) * 2 ** rng.randint(0, 5) * 3 ** rng.randint(0, 3))
+    for rows, D in (([[2, 0], [0, 3]], 6), ([[6, 10, 15]], 30), ([[6], [10], [15]], 30)):
+        check(IntMatrix.from_rows(rows), D)
     assert seen == {"unit", "non-unit", "zero"}
     seen.clear()
     for case in range(16):
@@ -480,34 +487,57 @@ def test_modular_smith_matches_reference(monkeypatch):
     assert seen == {"unit", "non-unit", "zero"}
 
     def steps(rows, D):
-        with monkeypatch.context() as m:
-            calls = _spy(m, "pow", pow)
-            _smith_mod(rows, D)
-        check(IntMatrix.from_rows(rows), D)
-        return ["unit" if args[2] == D else "2x2" for args in calls]
+        events = []
 
-    # no entry is prime to 6, but gcd(6, 2, 3) = 1: a 2 x 2 step leaves the
-    # pivot 1, and the unit step clears its column; the entry left, 5 mod 6,
-    # is a unit pivot after it
-    assert steps([[2, 3], [3, 2]], 6) == ["2x2", "unit", "unit"]
+        def invert(x, e, m):
+            events.append("unit" if m == D else "non-unit")
+            return pow(x, e, m)
+
+        def hook(frame, event, t):
+            if event == "return" and frame.f_code.co_name == "least_t" and t:
+                events.append("fold")
+
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "pow", invert, raising=False)
+            profile = sys.getprofile()
+            sys.setprofile(hook)
+            try:
+                pivots, _ = _smith_mod(rows, D)
+            finally:
+                sys.setprofile(profile)
+        check(IntMatrix.from_rows(rows), D)
+        return events, [s for _, s in pivots]
+
+    # no entry is prime to 6, but gcd(6, 2, 3) = 1: row 0 += row 1 folds
+    # the pivot 2 into 5, a unit, whose step clears its column; the entry
+    # left, -13, is a unit pivot after it
+    assert steps([[2, 3], [3, 2]], 6) == (["fold", "unit", "unit"], [1, 1])
     # the same, and then the rows of the second unit step, left unreduced,
-    # meet the non-unit pivot 2
-    assert steps([[2, 3, 4], [3, 2, 0], [4, 0, 6]], 12) == ["2x2", "unit", "unit"]
-    # a unit pivot first; a 2 x 2 step then leaves a unit, and another follows
-    assert steps([[2, 3, 2], [3, 4, 0], [0, 6, 5]], 6) == ["unit", "2x2", "unit", "unit"]
-    # the unit step leaves the rows [0, -2, 4] and [0, 4, 2], with no unit
-    # left, and the smallest residue of them, 2, is the next pivot
-    assert steps([[1, 5, 5], [1, 3, 9], [1, 9, 7]], 12) == ["unit"]
+    # meet the non-unit pivot 10 = 2 * 5, inverted as 5 mod 6
+    assert steps([[2, 3, 4], [3, 2, 0], [4, 0, 6]], 12) == (["fold", "unit", "unit", "non-unit"], [1, 1, 2])
+    # column 0 holds no unit, and the smallest residue, 2, is not one, so
+    # the first unit, 5 in row 2, is the pivot; the 2 x 2 block left has no
+    # unit, and row 0 += row 1 folds its 4 into 7, 1 mod 6, which needs no
+    # pow; the entry left, -13, is a unit pivot after it
+    assert steps([[2, 3, 2], [3, 4, 0], [0, 6, 5]], 6) == (["unit", "fold", "unit"], [1, 1, 1])
+    # the unit step on the pivot 1 leaves the rows [-2, 4] and [4, 2], with
+    # no unit left; g = 2 and the smallest residues are 2 = g, so no pivot
+    # needs a pow
+    assert steps([[1, 5, 5], [1, 3, 9], [1, 9, 7]], 12) == ([], [1, 2, 2])
+    # gcd(6, column 0) = 2: column 0 += column 1 takes it to 1, and then
+    # row 0 += row 1 takes the entry 2 to the unit 5
+    assert steps([[2, 0], [0, 3]], 6) == (["fold", "fold", "unit"], [1, 6])
 
 
 def test_modular_smith_call_budget(monkeypatch):
     """`smith_rows_mod` on K_30 and K_60, whose n - 2 invariant factors are
-    all n: the quotient pass clears each column with at most a few 2 x
-    2 steps, so pow is called twice, where 2 x 2 steps alone call it 352
-    and 1,509 times. Once D and the block share a factor, as they do after
-    the first pivot, no unit is left and the search for one stops: gcd is
-    called about twice a pivot, where a search that never stops calls it
-    494 and 1,889 times."""
+    all n: pow is called twice, for the first pivot, a unit, and for the
+    second, whose smallest residue has gcd n with D; every later pivot is
+    n = gcd(D, block) itself and needs no inverse. Once D and the block
+    share a factor, as they do after the first pivot, no unit is left and
+    the search for one stops: gcd is called twice a pivot, for g and for
+    the smallest residue, where a search that never stops calls it 463 and
+    1,828 times."""
     for m in (30, 60):
         a = reduced_laplacian(complete_graph(m), m - 1)
         det = determinant(a)
