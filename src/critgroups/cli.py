@@ -145,7 +145,8 @@ def _inputs(args) -> Inputs:
         return Inputs()
     if args.command == "search":
         return Inputs()
-    eliminates = args.command in ELIMINATING and not getattr(args, "dot", False)
+    dot = getattr(args, "dot", False)
+    eliminates = args.command in ELIMINATING and not dot
     cap = MAX_ELIMINATION_VERTICES if eliminates else MAX_STACK_VERTICES
     stack = None
     if args.stack is not None:
@@ -156,7 +157,7 @@ def _inputs(args) -> Inputs:
         g = stack.graph
     else:
         g = _read_graph(args.graph)
-        if eliminates:
+        if eliminates or dot:
             _check_size(f"graph {args.graph}", g.n, cap, args.command)
     if eliminates and getattr(args, "path_len", None):
         _check_size(f"G' of --path-len {args.path_len}", g.n + args.path_len - 1, cap, args.command)
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group", help="invariant factors, order and cyclicity")
     _add_common(p)
     p.add_argument("--dot", action="store_true",
-                   help=f"emit the graph in DOT format instead (stacks of up to {MAX_STACK_VERTICES} vertices)")
+                   help=f"emit the graph in DOT format instead (graphs and stacks of up to {MAX_STACK_VERTICES} vertices)")
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("trees", help="spanning tree count")

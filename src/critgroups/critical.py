@@ -140,11 +140,13 @@ def _certify(d: int, cols: list[list[int]]) -> tuple[list[int], list[list[int]]]
         u = u_row(label)
         col = [sum(map(mul, x, u)) for x in w]
         if d % s or any(x % s for x in col):
-            raise ArithmeticError(f"image factor {s} does not divide {d} and the image rows")
+            raise ArithmeticError(f"an image factor of {s.bit_length()} bits does not divide "
+                                  f"|K|, of {d.bit_length()} bits, and the image rows")
         factors.append(d // s)
         rows.append([x // s % (d // s) for x in col])
     if d % prod(factors):
-        raise ArithmeticError(f"image of order {prod(factors)} does not divide |K| = {d}")
+        raise ArithmeticError(f"an image whose order has {prod(factors).bit_length()} bits does not divide "
+                              f"|K|, of {d.bit_length()} bits")
     return factors, rows
 
 

@@ -26,10 +26,10 @@ gives det L and a solve b -> adj(L) b; `critical_group` and the tree count
 in `verify` read it and never learn which kernel ran. A sparse L, such as
 a polygon stack's, is eliminated by `sparse._sparse_factor` straight from the
 edge list, fraction-free in a minimum-degree order and with lazy scaling
-per entry, so that its work follows the fill, not n^3. It gives up as
-soon as its estimated work, weighted by its higher cost per entry,
-exceeds the dense kernel's m^3 / 6 for an m x m L, which for a dense graph
-happens before its first step; L is then built densely and goes through
+per entry, so that its work follows the fill, not n^3. The kernel is
+chosen once, from the number of edges: when the sparse kernel's
+estimated work, weighted by its higher cost per entry, exceeds the dense
+kernel's m^3 / 6 for an m x m L, L is built densely and goes through
 `_eliminate` and `_solve`.
 
 Everything runs on Python's arbitrary-precision ints; reduced-Laplacian
@@ -272,26 +272,41 @@ def _laplacian(g, q: int, edges: Sequence[tuple[tuple[int, int], int]] | None = 
     return IntMatrix(m, m, entries)
 
 
+# Cost of one entry update of `_sparse_factor`, in entry updates of the
+# dense two-step `_eliminate`, which makes about m^3 / 6 of them on an
+# m x m matrix. Measured on graphs that fill completely, the sparse kernel
+# takes 1.5 to 2.5 times as long for the same count; 4 also covers its
+# cost per step, which the count leaves out, so that a graph of fewer than
+# about 10 vertices goes dense whatever its shape.
+_SPARSE_COST = 4
+
+
 def _factor_laplacian(g, q: int) -> tuple[int, Callable[[Sequence[int]], list[int]] | None]:
     """det L for the Laplacian L of the multigraph g reduced at q, and a
     solve b -> adj(L) b, b and the result indexed as L is (the vertices
     other than q, in order). (0, None) when g is disconnected, without
     building a row when g has fewer distinct edges than a spanning tree.
 
-    `_sparse_factor` eliminates L in a minimum-degree order unless its work
-    estimate exceeds the dense kernel's; then L is built densely,
-    eliminated by `_eliminate` and solved by `_solve`. Both give the same
-    det and the same adj(L) b, which are unique."""
+    The kernel is chosen here, once, before any row is built. A step of
+    `_sparse_factor` costs about d(d + 1)/2 entry updates, d its vertex's
+    degree, so with E distinct edges and every vertex eliminated at the
+    mean degree 2E/m, it makes about 2E^2/m + E of them. Minimum degree
+    goes below the mean, but fill raises it, and on a dense graph fill
+    wins. When that estimate exceeds the dense kernel's m^3 / 6 over
+    `_SPARSE_COST`, L is built densely, eliminated by `_eliminate` and
+    solved by `_solve`; otherwise `_sparse_factor` eliminates it in a
+    minimum-degree order, to the end. Both give the same det and the same
+    adj(L) b, which are unique."""
     if not (0 <= q < g.n):
         raise ValueError(f"vertex {q} out of range for n={g.n}")
     edges = g.edge_items()
     if len(edges) < g.n - 1:
         return 0, None
-    sparse = _sparse_factor(g.n, edges, q)
-    if sparse is not None:
-        return sparse
-    det, tri, symmetric = _eliminate(_laplacian(g, q, edges))
-    return (det, lambda b: _solve(tri, symmetric, b)) if det else (0, None)
+    m = g.n - 1
+    if m and 2 * len(edges) ** 2 / m + len(edges) > m * m * m / 6 / _SPARSE_COST:
+        det, tri, symmetric = _eliminate(_laplacian(g, q, edges))
+        return (det, lambda b: _solve(tri, symmetric, b)) if det else (0, None)
+    return _sparse_factor(g.n, edges, q)
 
 
 @dataclass
@@ -541,7 +556,8 @@ def smith_rows_mod(a: IntMatrix, det: int) -> tuple[list[int], list[list[int]]]:
     pivots, u_row = _smith_mod(a.to_rows(), D)
     found = [(label, d) for label, d in pivots if d > 1]
     if prod(d for _, d in found) != D:
-        raise ArithmeticError(f"invariant factors {[d for _, d in found]} do not multiply to {D}")
+        raise ArithmeticError(f"invariant factors of {[d.bit_length() for _, d in found]} bits "
+                              f"do not multiply to |det|, of {D.bit_length()} bits")
     return [d for _, d in found], [[v % d for v in u_row(label)] for label, d in found]
 
 

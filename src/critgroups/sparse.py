@@ -1,28 +1,18 @@
 """The sparse kernel for reduced Laplacians: fraction-free elimination in
 a minimum-degree order, straight from a graph's edge list, with lazy
-scaling per entry. `linalg._factor_laplacian` runs it, and falls back to
-the dense kernel when it gives up."""
+scaling per entry. `linalg._factor_laplacian` runs it on a sparse L."""
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-# Cost of one entry update of `_sparse_factor`, in entry updates of the
-# dense two-step `linalg._eliminate`, which makes about m^3 / 6 of them on an
-# m x m matrix. Measured on graphs that fill completely, the sparse kernel
-# takes 1.5 to 2.5 times as long for the same count; 4 also covers its
-# cost per step, which the count leaves out, so that a graph of fewer than
-# about 10 vertices goes dense whatever its shape.
-_SPARSE_COST = 4
-
 
 def _sparse_factor(n: int, edges: Sequence[tuple[tuple[int, int], int]],
-                   q: int) -> tuple[int, Callable[[Sequence[int]], list[int]] | None] | None:
+                   q: int) -> tuple[int, Callable[[Sequence[int]], list[int]] | None]:
     """Fraction-free elimination of the Laplacian reduced at q of the
     multigraph on n vertices with the given edge items, in a minimum-degree
-    order: (det, solve) as `linalg._factor_laplacian` gives them, or None
-    once its work estimate says that it would be slower than the dense
-    kernel.
+    order: (det, solve) as `linalg._factor_laplacian` gives them, and
+    (0, None) at a zero pivot.
 
     L is symmetric positive semidefinite, and definite iff the graph is
     connected, so in any symmetric order every pivot, a principal minor,
@@ -39,26 +29,13 @@ def _sparse_factor(n: int, edges: Sequence[tuple[tuple[int, int], int]],
     Comput. 19, 1995). A hub that every step touches is thus never
     rescaled as a whole.
 
-    A step costs about d(d + 1)/2 entry updates, d its vertex's degree.
-    The steps left are estimated as if each of the r vertices left went at
-    the mean degree 2E/r of the elimination graph, E its edges: 2E^2/r + E.
-    Minimum degree goes below the mean, but fill raises it, and on a dense
-    graph fill wins. Once the work done and that estimate exceed m^3 / 6
-    over `_SPARSE_COST`, the elimination gives up. The test is made first
-    from the number of edges alone, before any row is built, and a dense
-    graph almost always gives up there.
-
     The rows of the steps are kept: a solve runs b through the same steps
     with the same lazy scaling, then substitutes back, as `linalg._solve`
     and `linalg._back` do, in O(n + fill) operations.
     """
     m = n - 1
-    dense = m * m * m / 6 / _SPARSE_COST
-    if m and 2 * len(edges) ** 2 / m + len(edges) > dense:  # E is at most len(edges)
-        return None
     rows: dict[int, dict[int, tuple[int, int]]] = {v: {} for v in range(n) if v != q}
     degree = dict.fromkeys(rows, 0)
-    edge_count = 0
     for (u, v), mult in edges:
         if u != q:
             degree[u] += mult
@@ -66,21 +43,17 @@ def _sparse_factor(n: int, edges: Sequence[tuple[tuple[int, int], int]],
             degree[v] += mult
             if u != q:
                 rows[u][v] = rows[v][u] = (-mult, 0)
-                edge_count += 1
     diag = {v: (d, 0) for v, d in degree.items()}  # entry (v, v) and the stage it was written at
     buckets: dict[int, set[int]] = {}  # the vertices left, by degree
     for v, r in rows.items():
         buckets.setdefault(len(r), set()).add(v)
     deg = 0  # no vertex left has a smaller degree
-    done = 0
     D = [1]  # D[t]: the pivot of step t - 1
     steps: list[tuple[int, int, list[tuple[int, int]]]] = []  # (vertex, pivot, its row's entries)
     t = 0
     while rows:
         while not buckets.get(deg):
             deg += 1
-        if done + 2 * edge_count * edge_count / (m - t) + edge_count > dense:
-            return None
         k = buckets[deg].pop()
         row = rows.pop(k)
         prev = D[t]
@@ -102,7 +75,6 @@ def _sparse_factor(n: int, edges: Sequence[tuple[tuple[int, int], int]],
                 e = ru.get(w)
                 if e is None:
                     x = -fu * fw // prev
-                    edge_count += 1
                 else:
                     x, s = e
                     if s != t:
@@ -113,8 +85,6 @@ def _sparse_factor(n: int, edges: Sequence[tuple[tuple[int, int], int]],
             if len(ru) != d + 1:  # u leaves the bucket of its degree before the step
                 buckets[d + 1].remove(u)
                 buckets.setdefault(len(ru), set()).add(u)
-        edge_count -= deg
-        done += deg * (deg + 1) / 2
         D.append(p)
         steps.append((k, p, [(u, fu) for u, fu, _, _ in f]))
         t += 1

@@ -383,6 +383,15 @@ def test_vertex_budgets_exit_1(capsys, tmp_path, monkeypatch):
     assert code == 1 and f"--stack has {3 + 2 * 75} vertices" in err
     code, _, err = run(capsys, "fire", "--stack", str(stack_cap + 1), "--config", "0", "--vertex", "0")
     assert code == 1 and f"--stack has {stack_cap + 1} vertices; fire takes at most {stack_cap}" in err
+    # and so is a graph file under --dot, by its declared vertex count, before any DOT is written
+    def no_dot(*a, **k):
+        raise AssertionError("DOT written")
+
+    monkeypatch.setattr(cli_mod, "format_dot", no_dot)
+    huge = tmp_path / "huge.txt"
+    huge.write_text("n 10000000\ne 0 1\n")
+    code, _, err = run(capsys, "group", str(huge), "--dot")
+    assert code == 1 and f"graph {huge} has 10000000 vertices; group takes at most {stack_cap}" in err
     monkeypatch.undo()
     config = "1," + "0," * (cap - 1) + "-1"
     code, out, _ = run(capsys, "fire", "--stack", str(cap + 1), "--config", config, "--vertex", "0")

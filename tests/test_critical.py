@@ -359,7 +359,7 @@ def test_cyclic_certificate_rows(monkeypatch):
     assert cyclic > 100 and non_cyclic > 10
 
 
-def test_certificate_rows_match_the_paper_reduction():
+def test_certificate_rows_match_the_paper_reduction(monkeypatch):
     """The paper's reduction is an oracle for the certificate of a polygon
     stack, whose group K is cyclic of order T = tree_count(ks):
     `reduce_to_pair` takes e_v - e_q onto a_v delta(x, y) for a pair (x, y)
@@ -367,9 +367,16 @@ def test_certificate_rows_match_the_paper_reduction():
     certificate row, which maps e_v - e_q to row[v], is v -> a_v mod T
     times the one unit row[x] - row[y]. Seeded stacks of at most 40
     vertices, half with random attach positions, most of them large enough
-    for `critical_group` to factor L sparsely."""
+    for `critical_group` to factor L sparsely, which a spy on the sparse
+    kernel counts."""
     rng = random.Random(1985)
-    went_sparse, sizes = 0, []
+    went_sparse, sizes = [], []
+
+    def spy(n, edges, q):
+        went_sparse.append(n)
+        return sparse._sparse_factor(n, edges, q)
+
+    monkeypatch.setattr(linalg, "_sparse_factor", spy)
     for _ in range(40):
         ks = [rng.randint(3, 6)]
         n, cap = ks[0], rng.randint(6, 40)
@@ -382,7 +389,6 @@ def test_certificate_rows_match_the_paper_reduction():
         g = sg.graph
         assert g.n == n <= 40
         sizes.append(n)
-        went_sparse += sparse._sparse_factor(g.n, g.edge_items(), g.n - 1) is not None
         kg = critical_group(g)
         t, q = kg.order, kg.deleted_vertex
         assert t == tree_count(ks) and kg.invariant_factors == ([t] if t > 1 else [])
@@ -401,7 +407,7 @@ def test_certificate_rows_match_the_paper_reduction():
         unit = (row[x] - row[y]) % t
         assert gcd(unit, t) == 1
         assert [r % t for r in row] == [unit * a % t for a in chips]
-    assert went_sparse > 30 and min(sizes) < 16 and max(sizes) > 35
+    assert len(went_sparse) > 30 and min(sizes) < 16 and max(sizes) > 35
 
 
 def test_cyclic_groups_need_no_second_elimination(monkeypatch):
@@ -529,6 +535,23 @@ def test_modular_rows_refuse_bad_input():
         smith_rows_mod(a, 0)
     with pytest.raises(ValueError):
         smith_rows_mod(IntMatrix.from_rows([[1, 2]]), 1)
+    # the error names bit lengths: a D of 5,001 digits is past Python's
+    # int-to-str limit, and printing it would raise ValueError instead
+    x = 10**5000 + 1
+    with pytest.raises(ArithmeticError, match="bits"):
+        smith_rows_mod(IntMatrix.from_rows([[x]]), 2 * x)
+
+
+def test_certify_errors_name_bit_lengths(monkeypatch):
+    """Forged pivots of `_smith_mod` trip each check of `_certify` on a |K|
+    of 5,001 digits, past Python's int-to-str limit: a factor s that does
+    not divide |K|, and factors whose product does not. Both raise
+    ArithmeticError, as their messages name bit lengths."""
+    d = 2 * 10**5000
+    for pivots in ([(0, 3)], [(0, 1), (1, 1)]):
+        monkeypatch.setattr(critical, "_smith_mod", lambda cols, D, p=pivots: (p, lambda label: [1, 0]))
+        with pytest.raises(ArithmeticError, match="bits"):
+            critical._certify(d, [[1], [1]])
 
 
 def _certificate_cases():

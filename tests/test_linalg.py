@@ -271,18 +271,28 @@ def _path_with_chords(rng, n):
     return Multigraph(n, edges)
 
 
-def test_sparse_kernel_matches_dense_and_sympy(monkeypatch):
+def _spanning_tree_plus_edges(rng, n, degree):
+    """A random spanning tree on n vertices plus random simple edges, up to
+    an average degree of about `degree`."""
+    edges = {tuple(sorted((v, rng.randrange(v)))): 1 for v in range(1, n)}
+    while len(edges) < n * degree // 2:
+        edges[tuple(sorted(rng.sample(range(n), 2)))] = 1
+    return Multigraph(n, edges)
+
+
+def test_sparse_kernel_matches_dense_and_sympy():
     """det L and adj(L) b of the minimum-degree kernel equal those of the
     dense `_eliminate` and `_solve` at several q, and sympy's on the
-    smaller Laplacians, on sparse graphs (stacks, paths with chords) and on
-    dense ones, which the kernel is made to run to the end."""
+    smaller Laplacians, on sparse graphs (stacks, paths with chords), on
+    dense ones, and on 60-vertex graphs of average degree 8 to 20, whose
+    elimination fills nearly completely."""
     sympy = pytest.importorskip("sympy")
-    monkeypatch.setattr(sparse, "_SPARSE_COST", 1e-9)
     rng = random.Random(1995)
     graphs = [_random_stack(rng, rng.randint(1, 10)) for _ in range(30)]
     graphs += [_path_with_chords(rng, n) for n in (2, 5, 12, 30)]
     graphs += [random_connected_multigraph(rng, 14, 4) for _ in range(30)]
     graphs += [complete_graph(n) for n in (2, 5, 9)] + [cycle_graph(n) for n in (2, 7)]
+    graphs += [_spanning_tree_plus_edges(rng, 60, d) for d in (8, 12, 16, 20)]
     for g in graphs:
         for q in sorted({0, rng.randrange(g.n), g.n - 1}):
             a = reduced_laplacian(g, q)
@@ -300,12 +310,11 @@ def test_sparse_kernel_matches_dense_and_sympy(monkeypatch):
                 solve([1] * (a.rows + 1))
 
 
-def test_sparse_kernel_stops_at_a_zero_pivot(monkeypatch):
+def test_sparse_kernel_stops_at_a_zero_pivot():
     """A disconnected graph with as many distinct edges as a spanning tree
     passes the edge-count refusal. Its Laplacian is positive semidefinite
     and singular, so some pivot is 0, and both the kernel and the entry
     give det 0 and no solve, at every q."""
-    monkeypatch.setattr(sparse, "_SPARSE_COST", 1e-9)
     k4_and_triangle = Multigraph(7, [*itertools.combinations(range(4), 2), (4, 5), (5, 6), (4, 6)])
     seven_cycle = {(7 + i, 7 + (i + 1) % 7): 1 for i in range(7)}
     stack_and_cycle = Multigraph(14, {**polygon_stack((4, 4, 3)).graph.edge_dict(), **seven_cycle})
@@ -318,34 +327,38 @@ def test_sparse_kernel_stops_at_a_zero_pivot(monkeypatch):
             assert linalg._factor_laplacian(g, q) == (0, None)
 
 
-class _Unread(list):
-    """Edge items that may be counted but not read."""
+def test_kernel_dispatch_by_work_estimate(monkeypatch):
+    """`_factor_laplacian` chooses the kernel from the edge count alone.
+    Random multigraphs of 20 to 48 vertices, as dense as the benchmark's,
+    never reach the sparse kernel and run densely; polygon stacks of 16 or
+    more vertices, and paths with chords, reach it and run it to the end.
+    The entry gives the same det either way."""
+    def refuse(*args):
+        raise AssertionError("the sparse kernel ran")
 
-    def __iter__(self):
-        raise AssertionError("the sparse kernel read the edges")
-
-
-def test_kernel_dispatch_by_work_estimate():
-    """Random multigraphs of 20 to 48 vertices, as dense as the
-    benchmark's, give up on the sparse kernel from their edge count alone,
-    before a row is built, and run densely; polygon stacks of 16 or more
-    vertices, and paths with chords, run sparse. The entry gives the same
-    det either way."""
+    monkeypatch.setattr(linalg, "_sparse_factor", refuse)
     rng = random.Random(7)
     dense = 0
     while dense < 60:
         g = random_connected_multigraph(rng, 60, 30)
         if 20 <= g.n <= 48:
             dense += 1
-            assert sparse._sparse_factor(g.n, _Unread(g.edge_items()), g.n - 1) is None
             assert linalg._factor_laplacian(g, g.n - 1)[0] == determinant(reduced_laplacian(g, g.n - 1))
+    ran = []
+
+    def spy(n, edges, q):
+        ran.append(n)
+        return sparse._sparse_factor(n, edges, q)
+
+    monkeypatch.setattr(linalg, "_sparse_factor", spy)
     graphs = [_random_stack(rng, rng.randint(6, 40)) for _ in range(60)]
     graphs += [polygon_stack((4,) * m).graph for m in (7, 20, 100)]
     graphs += [_path_with_chords(rng, n) for n in (16, 50, 200)]
     for g in graphs:
         if g.n >= 16:
-            result = sparse._sparse_factor(g.n, g.edge_items(), g.n - 1)
-            assert result is not None and result[0] == determinant(linalg._laplacian(g, g.n - 1))
+            det, solve = linalg._factor_laplacian(g, g.n - 1)
+            assert ran.pop() == g.n and solve is not None
+            assert det == determinant(linalg._laplacian(g, g.n - 1))
 
 
 def test_determinant_on_laplacians():
