@@ -56,7 +56,7 @@ def reduced_laplacian(g: Multigraph, q: int) -> IntMatrix:
         raise ValueError("reduced Laplacian needs at least 2 vertices")
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    return _laplacian(g, q)
+    return IntMatrix.from_rows(_laplacian(g, q))
 
 
 @dataclass
@@ -106,7 +106,7 @@ def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
             if prod(factors) == order or len(cols) >= 4 and len(factors) == len(cols):
                 break
         if prod(factors) != order:
-            factors, rows = smith_rows_mod(_laplacian(g, q), order)
+            factors, rows = smith_rows_mod(IntMatrix.from_rows(_laplacian(g, q)), order)
     for row in rows:
         row.insert(q, 0)
     return CriticalGroup(factors, order, q, g.n, rows)

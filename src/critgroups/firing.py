@@ -11,9 +11,10 @@ level's path once, from the base up; a cycle is the one-level stack.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Sequence
 
-from .graphs import Multigraph, StackGraph, cycle_graph, polygon_stack
+from .graphs import Multigraph, StackGraph, _ints, cycle_graph, polygon_stack
 
 MoveLog = list[tuple[int, int]]
 
@@ -48,10 +49,14 @@ def fire(g: Multigraph, c: Sequence[int], v: int, times: int = 1) -> list[int]:
 
 
 def replay_log(g: Multigraph, c: Sequence[int], log: Sequence[tuple[int, int]]) -> list[int]:
-    """Apply a move log to a copy of c, checking the vertex and the
-    configuration length at every entry."""
-    out = [int(x) for x in c]
+    """Apply a move log to a copy of c, checking the vertex, its count and
+    the configuration length at every entry."""
+    out = _ints(c, "chip count at vertex {}")
     for v, times in log:
+        try:
+            v, times = index(v), index(times)
+        except TypeError:
+            raise TypeError(f"move ({v!r}, {times!r}) needs an integer vertex and count") from None
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range for n={g.n}")
         if len(out) != g.n:
@@ -107,10 +112,11 @@ def reduce_to_pair(sg: StackGraph, c: Sequence[int], pos: int) -> tuple[list[int
     g = sg.graph
     if not sg.paths:
         raise ValueError("empty stack has no vertex pair to reduce onto")
-    if len(c) != g.n:
-        raise ValueError(f"configuration length {len(c)} != n={g.n}")
-    if sum(c) != 0:
-        raise ValueError(f"configuration must have degree 0, got {sum(c)}")
+    cur = _ints(c, "chip count at vertex {}")
+    if len(cur) != g.n:
+        raise ValueError(f"configuration length {len(cur)} != n={g.n}")
+    if sum(cur) != 0:
+        raise ValueError(f"configuration must have degree 0, got {sum(cur)}")
 
     top = sg.paths[-1]
     if len(sg.paths) == 1:
@@ -127,7 +133,6 @@ def reduce_to_pair(sg: StackGraph, c: Sequence[int], pos: int) -> tuple[list[int
     paths = [base[s:] + base[:s], *sg.paths[1:]]
     targets[0] = k - 2
 
-    cur = [int(x) for x in c]
     log: MoveLog = []
     for path, target in zip(paths, targets):
         _sweep_path(g, cur, log, path, target)

@@ -5,21 +5,38 @@ and polygon stacks."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable, Mapping, Sequence
+
+
+def _ints(values: Iterable, what: str) -> list[int]:
+    """The values as ints by operator.index: a float is refused, named by `what` with its position for {}."""
+    values = list(values)
+    try:
+        return list(map(index, values))
+    except TypeError:
+        k = next(k for k, x in enumerate(values) if not hasattr(type(x), "__index__"))
+        raise TypeError(f"{what.format(k)} is {values[k]!r}, not an integer") from None
 
 
 def _key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _check_edge(n: int, u: int, v: int, m: int, where: str = "") -> None:
-    """Refuse a self-loop, an endpoint outside 0..n-1 or a multiplicity < 1."""
+def _check_edge(n: int, u: int, v: int, m: int, where: str = "") -> tuple[int, int, int]:
+    """(u, v, m) as ints; refuse a non-integer, a self-loop, an endpoint outside 0..n-1 or a multiplicity < 1."""
+    if not type(u) is type(v) is type(m) is int:  # plain ints, the common case, skip three calls
+        try:
+            u, v, m = index(u), index(v), index(m)
+        except TypeError:
+            raise TypeError(f"{where}edge ({u!r},{v!r}) with multiplicity {m!r}: not all integers") from None
     if u == v:
         raise ValueError(f"{where}self-loop at vertex {u} is not allowed")
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"{where}edge ({u},{v}) out of range for n={n}")
     if m < 1:
         raise ValueError(f"{where}edge ({u},{v}) has multiplicity {m} < 1")
+    return u, v, m
 
 
 class Multigraph:
@@ -31,6 +48,7 @@ class Multigraph:
     """
 
     def __init__(self, n: int, edges: Mapping[tuple[int, int], int] | Iterable = ()):
+        n = index(n)
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         self.n = n
@@ -38,8 +56,8 @@ class Multigraph:
         items = [(*k, m) for k, m in edges.items()] if isinstance(edges, Mapping) else edges
         for e in items:
             u, v, m = e if len(e) == 3 else (*e, 1)
-            _check_edge(n, u, v, m)
-            k = _key(u, v)
+            u, v, m = _check_edge(n, u, v, m)
+            k = (u, v) if u < v else (v, u)
             table[k] = table.get(k, 0) + m
         self._edges = table
         # only vertices with edges get entries, so storage grows with the edges, not n
@@ -87,11 +105,9 @@ def is_connected(g: Multigraph) -> bool:
     """True iff every vertex is reachable from vertex 0 (K_1 is connected)."""
     if g.n <= 1:
         return True
-    seen = {0}
-    stack = [0]
+    seen, stack = {0}, [0]
     while stack:
-        v = stack.pop()
-        for u in g.neighbors(v):
+        for u in g.neighbors(stack.pop()):
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
@@ -201,7 +217,7 @@ class StackGraph:
 
 
 def check_stack_spec(ks: Sequence[int]) -> tuple[int, ...]:
-    spec = tuple(int(k) for k in ks)
+    spec = tuple(_ints(ks, "stack entry {}"))
     for k in spec:
         if k < 2:
             raise ValueError(f"stack entries must be >= 2, got {k}")
@@ -221,8 +237,10 @@ def polygon_stack(ks: Sequence[int], attach_positions: Sequence[int] | None = No
     cycle). One edge table is filled and one graph built, in linear time.
     """
     spec = check_stack_spec(ks)
-    if attach_positions is not None and len(attach_positions) != max(len(spec) - 1, 0):
-        raise ValueError("need one attach position per level after the first")
+    if attach_positions is not None:
+        attach_positions = _ints(attach_positions, "attach position {}")
+        if len(attach_positions) != max(len(spec) - 1, 0):
+            raise ValueError("need one attach position per level after the first")
     if not spec:
         return StackGraph(Multigraph(1), [], None, [], [])
 
@@ -235,7 +253,7 @@ def polygon_stack(ks: Sequence[int], attach_positions: Sequence[int] | None = No
     for idx, k in enumerate(spec[1:]):
         prev = paths[-1]
         npairs = len(prev) if idx == 0 else len(prev) - 1  # base cycle allows any of its edges
-        pos = 0 if attach_positions is None else int(attach_positions[idx])
+        pos = 0 if attach_positions is None else attach_positions[idx]
         if not (0 <= pos < npairs):
             raise ValueError(f"attach position {pos} invalid for level {idx + 2}")
         x, y = prev[pos], prev[(pos + 1) % len(prev)]

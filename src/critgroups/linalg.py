@@ -19,7 +19,8 @@ A symmetric elimination with no swap keeps its multipliers in its
 triangle, and one back-substitution loop, `_back`, reads everything else
 off it: `_solve` gives adj(a) b for one column, and the search in `verify`
 reads the whole adjugate with `_adjugate`, and edge deletions, element
-orders and cyclicity off det and adj by formula.
+orders and cyclicity off det and adj by formula. Its graphs are connected:
+`lorenzini_check` refuses a disconnected one before it eliminates.
 
 A graph's reduced Laplacian L has one entry, `_factor_laplacian`, which
 gives det L and a solve b -> adj(L) b; `critical_group` and the tree count
@@ -29,8 +30,10 @@ edge list, fraction-free in a minimum-degree order and with lazy scaling
 per entry, so that its work follows the fill, not n^3. The kernel is
 chosen once, from the number of edges: when the sparse kernel's
 estimated work, weighted by its higher cost per entry, exceeds the dense
-kernel's m^3 / 6 for an m x m L, L is built densely and goes through
-`_eliminate` and `_solve`.
+kernel's m^3 / 6 for an m x m L, `_laplacian` builds L's dense rows, and
+they go through `_eliminate` and `_solve`. Inside the package a matrix
+travels as its list of rows; `IntMatrix` is only what the public functions
+take and return.
 
 Everything runs on Python's arbitrary-precision ints; reduced-Laplacian
 minors overflow 64 bits almost immediately, so there is deliberately no
@@ -40,21 +43,23 @@ floating-point or fixed-width path anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, zip_longest
 from math import gcd, prod
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
+from .graphs import _ints
 from .sparse import _sparse_factor
 
 
 class IntMatrix:
-    """Dense integer matrix stored row-major."""
+    """Dense integer matrix stored row-major, as the public functions take
+    and return it. Every entry must be an int: a float is refused."""
 
     def __init__(self, rows: int, cols: int, entries: Sequence[int]):
         if rows < 0 or cols < 0:
             raise ValueError("dimensions must be nonnegative")
-        entries = [int(e) for e in entries]
+        entries = _ints(entries, "entry {}")
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         self.rows = rows
@@ -63,14 +68,10 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]]) -> IntMatrix:
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        flat: list[int] = []
-        for r in data:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(rows, cols, flat)
+        cols = len(data[0]) if data else 0
+        if any(len(r) != cols for r in data):
+            raise ValueError("ragged rows")
+        return cls(len(data), cols, [x for r in data for x in r])
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:
@@ -89,19 +90,13 @@ class IntMatrix:
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        a, b = self.to_rows(), other.to_rows()
-        out: list[int] = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                out.append(sum(ai[k] * b[k][j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, out)
+        cols = list(zip(*other.to_rows())) or [()] * other.cols
+        return IntMatrix(self.rows, other.cols, [sum(map(mul, r, c)) for r in self.to_rows() for c in cols])
 
     def mult_vector(self, vec: Sequence[int]) -> list[int]:
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} != cols {self.cols}")
-        rows = self.to_rows()
-        return [sum(r[k] * vec[k] for k in range(self.cols)) for r in rows]
+        return [sum(map(mul, r, vec)) for r in self.to_rows()]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
@@ -112,10 +107,10 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_rows()})"
 
 
-def _eliminate(a: IntMatrix) -> tuple[int, list[list[int]], bool]:
-    """Bareiss fraction-free elimination of a square a: (det a, the
-    eliminated rows, whether the elimination stayed symmetric). det is 0
-    when a is singular.
+def _eliminate(m: list[list[int]]) -> tuple[int, list[list[int]], bool]:
+    """Bareiss fraction-free elimination of a square a, given as its rows m,
+    which it owns and overwrites: (det a, m eliminated, whether the
+    elimination stayed symmetric). det is 0 when a is singular.
 
     Entry (i, j) of the block left after step k is a minor of a bordered
     by row i and column j, divided exactly by the previous pivot, and row k
@@ -138,10 +133,7 @@ def _eliminate(a: IntMatrix) -> tuple[int, list[list[int]], bool]:
     last, and its row k holds the multipliers of step k: entry (k, i) is
     entry (i, k) of that step's block.
     """
-    if a.rows != a.cols:
-        raise ValueError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
-    n = a.rows
-    m = a.to_rows()
+    n = len(m)
     symmetric = m == list(map(list, zip(*m)))
     if n == 0:
         return 1, m, symmetric
@@ -243,33 +235,31 @@ def determinant(a: IntMatrix) -> int:
     Every division is exact by the Bareiss identity, so no rounding can
     occur; the 0x0 determinant is 1.
     """
-    return _eliminate(a)[0]
+    if a.rows != a.cols:
+        raise ValueError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
+    return _eliminate(a.to_rows())[0]
 
 
-def _laplacian(g, q: int, edges: Sequence[tuple[tuple[int, int], int]] | None = None) -> IntMatrix | None:
-    """Reduced Laplacian of the multigraph g at vertex q, filled from the
-    degrees and the edge list (g.edge_items(), unless the caller has it),
-    with no connectivity check: its determinant is the spanning-tree count,
-    0 exactly when g is disconnected (0x0, determinant 1, for one vertex).
-    None when g has fewer distinct edges than a spanning tree, so that a
-    disconnected graph on many vertices never gets its dense matrix."""
+def _laplacian(g, q: int) -> list[list[int]]:
+    """Rows of the reduced Laplacian of the multigraph g at vertex q,
+    filled from the degrees and g.edge_items(), with no connectivity
+    check: its determinant is the spanning-tree count, 0 exactly when g is
+    disconnected (no rows, determinant 1, for one vertex). The rows are
+    dense, so a caller checks first that g is connected or, as
+    `_factor_laplacian` does, that it has a spanning tree's worth of edges."""
     if not (0 <= q < g.n):
         raise ValueError(f"vertex {q} out of range for n={g.n}")
-    if edges is None:
-        edges = g.edge_items()
-    if len(edges) < g.n - 1:
-        return None
     m = g.n - 1
-    entries = [0] * (m * m)
+    rows = [[0] * m for _ in range(m)]
     for v in range(g.n):
         if v != q:
             i = v - (v > q)
-            entries[i * m + i] = g.degree(v)
-    for (u, v), mult in edges:
+            rows[i][i] = g.degree(v)
+    for (u, v), mult in g.edge_items():
         if q not in (u, v):
             i, j = u - (u > q), v - (v > q)
-            entries[i * m + j] = entries[j * m + i] = -mult
-    return IntMatrix(m, m, entries)
+            rows[i][j] = rows[j][i] = -mult
+    return rows
 
 
 # Cost of one entry update of `_sparse_factor`, in entry updates of the
@@ -286,6 +276,7 @@ def _factor_laplacian(g, q: int) -> tuple[int, Callable[[Sequence[int]], list[in
     solve b -> adj(L) b, b and the result indexed as L is (the vertices
     other than q, in order). (0, None) when g is disconnected, without
     building a row when g has fewer distinct edges than a spanning tree.
+    A graph with no vertices is refused as such.
 
     The kernel is chosen here, once, before any row is built. A step of
     `_sparse_factor` costs about d(d + 1)/2 entry updates, d its vertex's
@@ -293,18 +284,18 @@ def _factor_laplacian(g, q: int) -> tuple[int, Callable[[Sequence[int]], list[in
     mean degree 2E/m, it makes about 2E^2/m + E of them. Minimum degree
     goes below the mean, but fill raises it, and on a dense graph fill
     wins. When that estimate exceeds the dense kernel's m^3 / 6 over
-    `_SPARSE_COST`, L is built densely, eliminated by `_eliminate` and
-    solved by `_solve`; otherwise `_sparse_factor` eliminates it in a
+    `_SPARSE_COST`, `_laplacian` builds L's rows, `_eliminate` eliminates
+    them and `_solve` solves; otherwise `_sparse_factor` eliminates it in a
     minimum-degree order, to the end. Both give the same det and the same
     adj(L) b, which are unique."""
     if not (0 <= q < g.n):
-        raise ValueError(f"vertex {q} out of range for n={g.n}")
+        raise ValueError(f"vertex {q} out of range for n={g.n}" if g.n else "graph has no vertices")
     edges = g.edge_items()
     if len(edges) < g.n - 1:
         return 0, None
     m = g.n - 1
     if m and 2 * len(edges) ** 2 / m + len(edges) > m * m * m / 6 / _SPARSE_COST:
-        det, tri, symmetric = _eliminate(_laplacian(g, q, edges))
+        det, tri, symmetric = _eliminate(_laplacian(g, q))
         return (det, lambda b: _solve(tri, symmetric, b)) if det else (0, None)
     return _sparse_factor(g.n, edges, q)
 
@@ -322,18 +313,8 @@ class SnfDecomposition:
 
     def image_contains(self, b: Sequence[int]) -> bool:
         """True iff b is in the integer column span of the original matrix."""
-        if len(b) != self.u.cols:
-            raise ValueError(f"vector length {len(b)} != {self.u.cols}")
-        c = self.u.mult_vector(b)
-        diag = self.diagonal()
-        for i, ci in enumerate(c):
-            di = diag[i] if i < len(diag) else 0
-            if di == 0:
-                if ci != 0:
-                    return False
-            elif ci % di != 0:
-                return False
-        return True
+        c = self.u.mult_vector(b)  # which refuses a b of the wrong length
+        return all(ci % di == 0 if di else ci == 0 for ci, di in zip_longest(c, self.diagonal(), fillvalue=0))
 
 
 def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
@@ -429,12 +410,8 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
             break
         t += 1
 
-    d = [[M[i][j] if i == j else 0 for j in range(n)] for i in range(m)]
-    return SnfDecomposition(
-        u=IntMatrix.from_rows(U) if m else IntMatrix(0, 0, []),
-        d=IntMatrix.from_rows(d) if m and n else IntMatrix(m, n, []),
-        v=IntMatrix.from_rows(V) if n else IntMatrix(0, 0, []),
-    )
+    d = IntMatrix(m, n, [M[i][j] if i == j else 0 for i in range(m) for j in range(n)])
+    return SnfDecomposition(IntMatrix.from_rows(U), d, IntMatrix.from_rows(V))
 
 
 def _smith_mod(rows: Iterable[Sequence[int]], D: int) -> tuple[list[tuple[int, int]], Callable[[int], list[int]]]:

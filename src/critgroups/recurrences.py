@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .graphs import check_stack_spec
+from .graphs import _ints, check_stack_spec
 
 
 class QuadraticNumber:
@@ -21,11 +21,11 @@ class QuadraticNumber:
     __slots__ = ("a", "b", "disc")
 
     def __init__(self, a, b, disc: int):
-        if disc < 0:
+        (self.disc,) = _ints([disc], "discriminant")
+        if self.disc < 0:
             raise ValueError(f"discriminant must be nonnegative, got {disc}")
         self.a = Fraction(a)
         self.b = Fraction(b)
-        self.disc = int(disc)
 
     def _align(self, other) -> tuple["QuadraticNumber", "QuadraticNumber", int]:
         """Bring both operands onto a common discriminant."""
@@ -155,7 +155,7 @@ def forest_count(ks: Sequence[int]) -> int:
 
 def constant_k_table(k: int, n_max: int) -> SequenceTable:
     """T_0..T_{n_max} for a stack of n k-gons: T_n = k*T_{n-1} - T_{n-2}."""
-    if k < 2:
+    if _ints([k], "polygon size")[0] < 2:
         raise ValueError(f"polygon size must be >= 2, got {k}")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -201,7 +201,7 @@ def alternating_tables(k1: int, k2: int, n_max: int) -> tuple[SequenceTable, Seq
     A_n of its even prefixes and B_n of its odd ones. Both sequences also
     satisfy the decoupled recurrence X_n = (k1*k2 - 2)*X_{n-1} - X_{n-2}.
     """
-    if k1 < 2 or k2 < 2:
+    if min(_ints([k1, k2], "polygon size")) < 2:
         raise ValueError(f"polygon sizes must be >= 2, got ({k1},{k2})")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")

@@ -129,15 +129,12 @@ def _tree_count(g: Multigraph) -> int:
     return linalg._factor_laplacian(g, g.n - 1)[0]
 
 
-def _adjugate(g: Multigraph) -> tuple[int, list[list[int]] | None]:
-    """det L and adj L for the Laplacian L of g reduced at its last vertex
-    q, indexed by vertex: adj L is read off the triangle of one symmetric
-    elimination, and a zero row and column are added at q. (0, None) when
-    g is disconnected."""
-    a = _laplacian(g, g.n - 1)
-    det, tri, symmetric = (0, None, False) if a is None else linalg._eliminate(a)
-    if det == 0:
-        return 0, None
+def _adjugate(g: Multigraph) -> tuple[int, list[list[int]]]:
+    """det L and adj L for the Laplacian L of a connected g reduced at its
+    last vertex q, indexed by vertex: adj L is read off the triangle of one
+    symmetric elimination of L's rows, and a zero row and column are added
+    at q. Callers refuse a disconnected g, whose dense rows are not built."""
+    det, tri, symmetric = linalg._eliminate(_laplacian(g, g.n - 1))
     return det, [row + [0] for row in linalg._adjugate(tri, symmetric)] + [[0] * g.n]
 
 
@@ -167,12 +164,13 @@ def _is_cyclic(adj: list[list[int]]) -> bool:
 
 
 def lorenzini_check(g: Multigraph, x: int, y: int) -> LorenziniReport:
+    """Coprimality data for the x-y edges of g; a disconnected g is refused before any elimination."""
     c = g.multiplicity(x, y)
     if c <= 0:
         raise ValueError(f"vertices {x} and {y} must be joined by at least one edge")
-    det, adj = _adjugate(g)
-    if adj is None:
+    if not is_connected(g):
         raise ValueError("graph must be connected")
+    det, adj = _adjugate(g)
     order_g1 = _deletion_count(det, adj, x, y, c)
     connected = order_g1 > 0
     return LorenziniReport(
@@ -208,7 +206,7 @@ def lorenzini_path_check(g: Multigraph, x: int, y: int, length: int) -> Lorenzin
     """Add a path of `length` edges between x and y and verify the chain
     coprimality conclusion: |K(G_1)| stays coprime to |K(G_1')| for every
     deleted chain edge, and K(G') is cyclic. Every chain order comes from
-    one adjugate of G'."""
+    one adjugate of G', connected as `lorenzini_check` has found G."""
     base = lorenzini_check(g, x, y)
     if not (base.g1_connected and base.coprime):
         raise ValueError("hypothesis fails: deleted graph must be connected with coprime order")

@@ -240,6 +240,10 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     assert code == 1 and "line 2:" in err and "-1" in err
     code, _, err = run(capsys, "search", "--max-vertices", "8", "--exhaustive")
     assert code == 1 and "max_vertices" in err
+    bad.write_text("n 0\n")  # no vertices: refused as such, not as vertex -1
+    for command in ("group", "trees", "pairs"):
+        code, _, err = run(capsys, command, str(bad))
+        assert code == 1 and "graph has no vertices" in err and "-1" not in err
 
 
 def test_size_budgets_exit_1(capsys, tmp_path):

@@ -78,6 +78,8 @@ def test_critical_group_examples():
     assert single == CriticalGroup([], 1, 0, 1, [])
     with pytest.raises(ValueError, match="vertex 1 out of range for n=1"):
         critical_group(Multigraph(1), 1)
+    with pytest.raises(ValueError, match="graph has no vertices"):
+        critical_group(Multigraph(0))
     with pytest.raises(ValueError):
         critical_group(Multigraph(4, {(0, 1): 1, (2, 3): 1}))
 

@@ -6,20 +6,28 @@ import tracemalloc
 import pytest
 
 from critgroups import (
+    IntMatrix,
     Multigraph,
+    QuadraticNumber,
     add_path,
+    alternating_tables,
     complete_graph,
+    constant_k_table,
     critical_group,
     cycle_graph,
     delete_edges,
+    fire,
     format_graph,
     is_connected,
     parse_graph,
     parse_stack_spec,
     polygon_stack,
+    reduce_to_pair,
+    replay_log,
     tree_count,
     wedge_sum,
 )
+from critgroups import verify
 
 
 def test_multigraph_invariants():
@@ -199,17 +207,56 @@ def test_graph_text_roundtrip():
 
 
 def test_storage_grows_with_edges_not_n():
+    """A one-edge graph on 10^6 vertices is refused, or counted as having
+    no spanning tree, without a dense row of its Laplacian."""
     tracemalloc.start()
     try:
         g = parse_graph("n 1000000\ne 0 1\n")
         with pytest.raises(ValueError, match="graph must be connected"):
             critical_group(g)
+        with pytest.raises(ValueError, match="graph must be connected"):
+            verify.lorenzini_check(g, 0, 1)
+        assert verify._tree_count(g) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
     assert g.degree(0) == 1 and g.neighbors(1) == [0] and g.incident(0) == [(1, 1)]
     assert g.degree(7) == 0 and g.neighbors(7) == [] and g.incident(7) == []
+
+
+def _stack_with_edge(ks, edge, mult):
+    g = polygon_stack(ks).graph
+    return Multigraph(g.n, {**g.edge_dict(), edge: mult})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Multigraph(3, {(0, 1): 1.5, (1, 2): 1, (0, 2): 1}), "edge (0,1) with multiplicity 1.5"),
+    (lambda: _stack_with_edge((4,) * 10, (0, 1), 1.5), "edge (0,1) with multiplicity 1.5"),
+    (lambda: Multigraph(3, {(0.0, 1): 1}), "edge (0.0,1) with multiplicity 1"),
+    (lambda: IntMatrix(1, 1, [2.9]), "entry 0 is 2.9"),
+    (lambda: tree_count((3.7, 4)), "stack entry 0 is 3.7"),
+    (lambda: polygon_stack((3.9,)), "stack entry 0 is 3.9"),
+    (lambda: polygon_stack((3, 4, 4), [0, 1.0]), "attach position 1 is 1.0"),
+    (lambda: fire(cycle_graph(3), [1.5, -1.5, 0], 0), "chip count at vertex 0 is 1.5"),
+    (lambda: fire(cycle_graph(3), [1, -1, 0], 0, 1.5), "move (0, 1.5)"),
+    (lambda: replay_log(cycle_graph(3), [1, -1, 0], [(1.0, 1)]), "move (1.0, 1)"),
+    (lambda: reduce_to_pair(polygon_stack((3, 4)), [0, 0, 0, 0.5, -0.5], 0), "chip count at vertex 3 is 0.5"),
+    (lambda: QuadraticNumber(1, 1, 2.5), "discriminant is 2.5"),
+    (lambda: constant_k_table(4.5, 3), "polygon size is 4.5"),
+    (lambda: alternating_tables(3, 4.5, 2), "polygon size is 4.5"),
+])
+def test_non_integers_are_refused(build, message):
+    """Every count, multiplicity, chip and matrix entry goes through
+    operator.index: a float is refused by name, never truncated."""
+    with pytest.raises(TypeError, match=re.escape(message)):
+        build()
+
+
+def test_bool_counts_as_one():
+    assert critical_group(Multigraph(3, {(0, 1): True, (1, 2): 1, (0, 2): 1})).invariant_factors == [3]
+    assert IntMatrix(1, 2, [True, 2]).entries == [1, 2]
+    assert fire(cycle_graph(3), [0, 0, 0], 0, True) == [-2, 1, 1]
 
 
 def test_parse_stack_spec():
