@@ -4,9 +4,9 @@ and polygon stacks."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import index
-from typing import Iterable, Mapping, Sequence
 
 
 def _ints(values: Iterable, what: str) -> list[int]:
@@ -43,7 +43,9 @@ class Multigraph:
     """Undirected multigraph on vertices 0..n-1.
 
     Parallel edges are stored as a multiplicity per unordered vertex pair.
-    Self-loops are rejected. Instances are treated as immutable: all
+    Self-loops are rejected. The constructor makes one pass over the edges,
+    which fills the edge table and the degrees; the adjacency is built from
+    the table on first use. Instances are treated as immutable: all
     operations build new graphs.
     """
 
@@ -52,21 +54,40 @@ class Multigraph:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         self.n = n
-        table: dict[tuple[int, int], int] = {}
-        items = [(*k, m) for k, m in edges.items()] if isinstance(edges, Mapping) else edges
-        for e in items:
-            u, v, m = e if len(e) == 3 else (*e, 1)
-            u, v, m = _check_edge(n, u, v, m)
-            k = (u, v) if u < v else (v, u)
-            table[k] = table.get(k, 0) + m
-        self._edges = table
         # only vertices with edges get entries, so storage grows with the edges, not n
-        adj: dict[int, dict[int, int]] = {}
-        for (u, v), m in table.items():
-            adj.setdefault(u, {})[v] = m
-            adj.setdefault(v, {})[u] = m
-        self._adj = adj
-        self._deg = {v: sum(nbrs.values()) for v, nbrs in adj.items()}
+        table: dict[tuple[int, int], int] = {}
+        deg: dict[int, int] = {}
+        keyed = isinstance(edges, Mapping)
+        entries = iter(edges.items() if keyed else edges)
+        e = entries  # stands for "no entry yet" if the iterator itself fails
+        try:
+            for e in entries:
+                if keyed:
+                    (u, v), m = e
+                elif len(e) == 3:
+                    u, v, m = e
+                else:
+                    (u, v), m = e, 1
+                if not (type(u) is type(v) is type(m) is int and u != v and 0 <= u < n and 0 <= v < n and m > 0):
+                    u, v, m = _check_edge(n, u, v, m)
+                k = (u, v) if u < v else (v, u)
+                table[k] = table.get(k, 0) + m
+                deg[u] = deg.get(u, 0) + m
+                deg[v] = deg.get(v, 0) + m
+        except (TypeError, ValueError):
+            if e is entries or _entry_shape_ok(e, keyed):
+                raise
+            raise TypeError(f"edge key {e[0]!r} is not a vertex pair (u, v)" if keyed else
+                            f"edge entry {e!r} is not (u, v) or (u, v, multiplicity)") from None
+        self._edges = table
+        self._deg = deg
+        # read as `self._adj or self._build_adj()`: built on first use, and a
+        # plain attribute keeps that read fast; an edgeless graph rebuilds {}
+        self._adj: dict[int, dict[int, int]] = {}
+
+    def _build_adj(self) -> dict[int, dict[int, int]]:
+        self._adj = adj = _adjacency(self._edges)
+        return adj
 
     def multiplicity(self, u: int, v: int) -> int:
         return self._edges.get(_key(u, v), 0)
@@ -75,11 +96,11 @@ class Multigraph:
         return self._deg.get(v, 0)
 
     def neighbors(self, v: int) -> list[int]:
-        return sorted(self._adj.get(v, ()))
+        return sorted((self._adj or self._build_adj()).get(v, ()))
 
     def incident(self, v: int) -> list[tuple[int, int]]:
         """Sorted (neighbor, multiplicity) pairs for vertex v."""
-        return sorted(self._adj.get(v, {}).items())
+        return sorted((self._adj or self._build_adj()).get(v, {}).items())
 
     def edge_items(self) -> list[tuple[tuple[int, int], int]]:
         """Sorted ((u, v), multiplicity) pairs with u < v."""
@@ -101,17 +122,43 @@ class Multigraph:
         return f"Multigraph(n={self.n}, edges={self.edge_items()})"
 
 
-def is_connected(g: Multigraph) -> bool:
-    """True iff every vertex is reachable from vertex 0 (K_1 is connected)."""
-    if g.n <= 1:
+def _entry_shape_ok(e, keyed: bool) -> bool:
+    """Whether an edge entry has the shape the constructor unpacks: a key
+    (u, v) in a mapping, else (u, v) or (u, v, multiplicity)."""
+    try:
+        return len(e[0]) == 2 if keyed else len(e) in (2, 3)
+    except TypeError:
+        return False
+
+
+def _adjacency(edges: Mapping[tuple[int, int], int]) -> dict[int, dict[int, int]]:
+    """Neighbor -> multiplicity maps of an edge table, for the vertices that have edges."""
+    adj: dict[int, dict[int, int]] = {}
+    for (u, v), m in edges.items():
+        adj.setdefault(u, {})[v] = m
+        adj.setdefault(v, {})[u] = m
+    return adj
+
+
+def _connected(n: int, adj: Mapping[int, Mapping[int, int]]) -> bool:
+    """True iff every one of the n vertices is reachable from vertex 0 in
+    the adjacency `adj` (K_1 is connected)."""
+    if n <= 1:
         return True
+    if len(adj) < n:  # some vertex has no edges
+        return False
     seen, stack = {0}, [0]
     while stack:
-        for u in g.neighbors(stack.pop()):
+        for u in adj[stack.pop()]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
-    return len(seen) == g.n
+    return len(seen) == n
+
+
+def is_connected(g: Multigraph) -> bool:
+    """True iff every vertex is reachable from vertex 0 (K_1 is connected)."""
+    return _connected(g.n, g._adj or g._build_adj())
 
 
 def cycle_graph(m: int) -> Multigraph:

@@ -12,6 +12,10 @@ generates iff gcd(det L, adj L (e_x - e_y)) = 1; and K(G) is cyclic iff the
 entries of adj L have gcd 1. No deleted graph and no critical group is
 built. A reported counterexample is checked again from the integer Smith
 normal form.
+
+The search's graphs, enumerated or sampled, are tested for connectivity on
+the drawn edge table, so one Multigraph is built per graph; the sampler
+checks the random search's bounds before it draws.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from math import comb, gcd, lcm, prod
 from typing import Iterator
 
 from .critical import delta_config, reduced_laplacian
-from .graphs import Multigraph, add_path, delete_edges, is_connected
+from .graphs import Multigraph, _adjacency, _connected, add_path, delete_edges, is_connected
 from . import linalg
 from .linalg import _laplacian, smith_normal_form
 
@@ -229,19 +233,34 @@ def lorenzini_path_check(g: Multigraph, x: int, y: int, length: int) -> Lorenzin
 # ----------------------------------------------------------------------------
 # Graph sampling and enumeration
 
+MAX_SAMPLE_VERTICES = 200
+MAX_SAMPLE_EXTRA_EDGES = 100_000  # one random pair is drawn for each
+
+
+def _check_sample_bounds(max_vertices: int, max_extra_edges: int) -> None:
+    """Refuse sampling parameters outside the random search's bounds."""
+    if max_vertices > MAX_SAMPLE_VERTICES:
+        raise ValueError(f"max_vertices must be at most {MAX_SAMPLE_VERTICES} for the random search, "
+                         f"got {max_vertices}")
+    if not 0 <= max_extra_edges <= MAX_SAMPLE_EXTRA_EDGES:
+        raise ValueError(f"max_extra_edges must be from 0 to {MAX_SAMPLE_EXTRA_EDGES} for the random search, "
+                         f"got {max_extra_edges}")
+
 
 def random_connected_multigraph(rng: random.Random, max_vertices: int, max_extra_edges: int) -> Multigraph:
     """Seeded sample: Erdos-Renyi simple graph conditioned on connectivity,
-    then up to max_extra_edges multiplicity bumps on random vertex pairs."""
+    decided on the drawn edge table, then up to max_extra_edges multiplicity
+    bumps on random vertex pairs; one graph is built. The random search's
+    bounds (2 to 200 vertices, 0 to 100,000 bumps) are checked before any draw."""
     if max_vertices < 2:
         raise ValueError("need at least 2 vertices to sample")
+    _check_sample_bounds(max_vertices, max_extra_edges)
     n = rng.randint(2, max_vertices)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     while True:
         p = rng.uniform(0.3, 0.9)
         edges = {pair: 1 for pair in pairs if rng.random() < p}
-        g = Multigraph(n, edges)
-        if edges and is_connected(g):
+        if _connected(n, _adjacency(edges)):
             break
     for _ in range(rng.randint(0, max_extra_edges)):
         u, v = rng.sample(range(n), 2)
@@ -253,8 +272,9 @@ def random_connected_multigraph(rng: random.Random, max_vertices: int, max_extra
 def enumerate_connected_simple_graphs(max_vertices: int) -> Iterator[Multigraph]:
     """All labeled connected simple graphs on 1..max_vertices vertices.
 
-    Refuses max_vertices above 7: 7 vertices already means 2^21 edge masks,
-    and 8 would take days.
+    Connectivity is decided on each edge mask's table, so only connected
+    ones are built. Refuses max_vertices above 7: 7 vertices already means
+    2^21 edge masks, and 8 would take days.
     """
     if max_vertices > 7:
         raise ValueError(f"max_vertices must be at most 7 for the labeled enumeration, "
@@ -263,16 +283,12 @@ def enumerate_connected_simple_graphs(max_vertices: int) -> Iterator[Multigraph]
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for mask in range(1 << len(pairs)):
             edges = {pairs[i]: 1 for i in range(len(pairs)) if mask >> i & 1}
-            g = Multigraph(n, edges)
-            if is_connected(g):
-                yield g
+            if _connected(n, _adjacency(edges)):
+                yield Multigraph(n, edges)
 
 
 # ----------------------------------------------------------------------------
 # Counterexample search harness
-
-MAX_SAMPLE_VERTICES = 200
-MAX_SAMPLE_EXTRA_EDGES = 100_000  # one random pair is drawn for each
 
 
 @dataclass
@@ -306,14 +322,10 @@ def coprime_pair_search(
     Generation is tested only for coprime deletions: delta(x, y) is read
     off the adjugate only then.
     """
-    if not exhaustive and max_vertices > MAX_SAMPLE_VERTICES:
-        raise ValueError(f"max_vertices must be at most {MAX_SAMPLE_VERTICES} for the random search, "
-                         f"got {max_vertices}")
-    if not exhaustive and not 0 <= max_extra_edges <= MAX_SAMPLE_EXTRA_EDGES:
-        raise ValueError(f"max_extra_edges must be from 0 to {MAX_SAMPLE_EXTRA_EDGES} for the random search, "
-                         f"got {max_extra_edges}")
-    if not exhaustive and trials < 0:
-        raise ValueError(f"trials must be nonnegative for the random search, got {trials}")
+    if not exhaustive:
+        _check_sample_bounds(max_vertices, max_extra_edges)
+        if trials < 0:
+            raise ValueError(f"trials must be nonnegative for the random search, got {trials}")
     params = {
         "max_vertices": max_vertices,
         "max_extra_edges": max_extra_edges,

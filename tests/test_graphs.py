@@ -27,7 +27,7 @@ from critgroups import (
     tree_count,
     wedge_sum,
 )
-from critgroups import verify
+from critgroups import graphs, verify
 
 
 def test_multigraph_invariants():
@@ -223,6 +223,30 @@ def test_storage_grows_with_edges_not_n():
     assert peak < 1 << 20
     assert g.degree(0) == 1 and g.neighbors(1) == [0] and g.incident(0) == [(1, 1)]
     assert g.degree(7) == 0 and g.neighbors(7) == [] and g.incident(7) == []
+
+
+def test_adjacency_is_built_once_on_first_use(monkeypatch):
+    """The constructor fills the edge table and the degrees only;
+    is_connected walks the graph's own adjacency, built on first use."""
+    calls = []
+    build = graphs._adjacency
+    monkeypatch.setattr(graphs, "_adjacency", lambda edges: calls.append(edges) or build(edges))
+    g = cycle_graph(5)
+    assert g.degree(0) == 2 and calls == []
+    assert is_connected(g) and is_connected(g)
+    assert g.neighbors(0) == [1, 4] and g.incident(0) == [(1, 1), (4, 1)]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0,)], "edge entry (0,) is not (u, v) or (u, v, multiplicity)"),
+    ([(0, 1, 1, 5)], "edge entry (0, 1, 1, 5) is not (u, v) or (u, v, multiplicity)"),
+    ([5], "edge entry 5 is not (u, v) or (u, v, multiplicity)"),
+    ({0: 1}, "edge key 0 is not a vertex pair (u, v)"),
+], ids=["short", "long", "int", "int-key"])
+def test_malformed_edge_entries_are_named(edges, message):
+    with pytest.raises(TypeError, match=re.escape(message)):
+        Multigraph(3, edges)
 
 
 def _stack_with_edge(ks, edge, mult):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -180,8 +181,8 @@ def test_random_search_draws_samples_as_it_scans(monkeypatch):
 
 
 def test_coprime_pair_search_exhaustive_small():
-    outcome = coprime_pair_search(4, exhaustive=True)
-    assert outcome.examined > 0
+    outcome = coprime_pair_search(5, exhaustive=True)
+    assert (outcome.examined, outcome.coprime_instances) == (4294, 2265)
     assert reverify_outcome(outcome)
     # reported counterexamples, if any, must re-verify; none are expected here
     assert outcome.counterexamples == []
@@ -234,13 +235,20 @@ def test_reverify_outcome_rejects_false_reports(monkeypatch):
     assert reverify_outcome(SearchOutcome(0, 0, [], None))
 
 
+def _digest(graphs) -> str:
+    return hashlib.sha256("\n".join(map(repr, graphs)).encode()).hexdigest()
+
+
 def test_enumerate_connected_simple_graphs():
-    graphs = list(enumerate_connected_simple_graphs(4))
+    """The labeled connected graphs on up to 5 vertices: the count for each
+    n, and the graphs themselves in yield order."""
+    graphs = list(enumerate_connected_simple_graphs(5))
     by_n = {}
     for g in graphs:
         by_n[g.n] = by_n.get(g.n, 0) + 1
-    # labeled connected graph counts: 1, 1, 4, 38
-    assert by_n == {1: 1, 2: 1, 3: 4, 4: 38}
+    # labeled connected graph counts: 1, 1, 4, 38, 728
+    assert by_n == {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
+    assert _digest(graphs) == "65d443961cfc4630455269a2e32cd903522f302576d41e3c9d09dd40868724e1"
     with pytest.raises(ValueError, match="max_vertices"):
         next(enumerate_connected_simple_graphs(8))
 
@@ -252,6 +260,49 @@ def test_random_connected_multigraph_seeded():
         g2 = random_connected_multigraph(rng2, 6, 3)
         assert g1 == g2
         assert g1.n <= 6
+
+
+@pytest.mark.parametrize("max_vertices, max_extra_edges, digest", [
+    (9, 2, "35adac3c22ef145a39140a2da22fe49162b3d6dc3d3f4b55ee00b8205fbb4830"),
+    (12, 5, "f69924402d193e63c6bef2d2936c03373f115e95fc6933b5cc10e5e9db02c4bb"),
+], ids=["9-2", "12-5"])
+def test_seeded_samples_are_pinned(max_vertices, max_extra_edges, digest):
+    """300 samples of one seeded stream: the graphs and how much of the
+    stream each one draws."""
+    rng = random.Random(0)
+    assert _digest(random_connected_multigraph(rng, max_vertices, max_extra_edges) for _ in range(300)) == digest
+
+
+def test_generators_build_one_graph_per_result(monkeypatch):
+    """Connectivity is decided on the drawn edge table, so a rejected
+    candidate builds no graph."""
+    import critgroups.verify as verify
+
+    builds = []
+
+    class Counted(Multigraph):
+        def __init__(self, *args):
+            builds.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(verify, "Multigraph", Counted)
+    assert len(list(enumerate_connected_simple_graphs(4))) == len(builds) == 44
+    builds.clear()
+    rng = random.Random(1)
+    samples = [random_connected_multigraph(rng, 9, 2) for _ in range(40)]
+    assert len(builds) == 40 and all(is_connected(g) for g in samples)
+
+
+def test_sampler_checks_its_own_bounds():
+    """The sampler refuses the random search's out-of-range parameters
+    before it draws anything: 10^5 vertices would mean 10^9 vertex pairs."""
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="max_vertices must be at most 200 for the random search, got 100000"):
+        random_connected_multigraph(rng, 10**5, 0)
+    with pytest.raises(ValueError, match="max_extra_edges must be from 0 to 100000 for the random search, got -1"):
+        random_connected_multigraph(rng, 9, -1)
+    assert rng.getstate() == state
 
 
 def _connected_multigraphs():
