@@ -400,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, help="default 0")
     p.add_argument("--seed", type=int)
     p.add_argument("--exhaustive", action="store_true",
-                   help="walk every labeled connected simple graph; takes no sample options")
+                   help="count every labeled connected simple graph, one scan per isomorphism class; "
+                        "takes no sample options")
     p.set_defaults(func=cmd_search)
 
     return parser

@@ -37,9 +37,11 @@ def format_configuration(c: Sequence[int]) -> str:
 
 
 def _move(g: Multigraph, cur: list[int], v: int, times: int) -> None:
-    """Fire v `times` times in place (negative times borrow)."""
+    """Fire v `times` times in place (negative times borrow). The neighbor
+    map is read directly, not through the sorting `incident`: the sums do
+    not depend on the order."""
     cur[v] -= times * g.degree(v)
-    for u, mult in g.incident(v):
+    for u, mult in (g._adj or g._build_adj()).get(v, {}).items():
         cur[u] += times * mult
 
 

@@ -13,9 +13,18 @@ entries of adj L have gcd 1. No deleted graph and no critical group is
 built. A reported counterexample is checked again from the integer Smith
 normal form.
 
-The search's graphs, enumerated or sampled, are tested for connectivity on
-the drawn edge table, so one Multigraph is built per graph; the sampler
-checks the random search's bounds before it draws.
+The exhaustive search scans one connected graph per isomorphism class: the
+first edge mask of each relabeling orbit, closed under the transpositions
+(0 i), and weights its counts by the orbit's size n!/|Aut G|, so they equal
+the labeled enumeration's. A random sample has weight 1. Sampled graphs and
+class representatives are tested for connectivity on the drawn edge table,
+so one Multigraph is built per graph; the sampler checks the random
+search's bounds before it draws.
+
+The search cannot report a pair: with b = e_x - e_y, gcd(det L, adj L b)
+divides F = b^T adj L b, and a coprime deletion has gcd(det L, c F) = 1. Its
+report path and `reverify_outcome` stay as the harness's consistency check;
+a test drives them with a generation predicate that fires.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from math import comb, gcd, lcm, prod
 from typing import Iterator
 
 from .critical import delta_config, reduced_laplacian
-from .graphs import Multigraph, _adjacency, _connected, add_path, delete_edges, is_connected
+from .graphs import Multigraph, _adjacency, _connected, _key, add_path, delete_edges, is_connected
 from . import linalg
 from .linalg import _laplacian, smith_normal_form
 
@@ -256,7 +265,7 @@ def random_connected_multigraph(rng: random.Random, max_vertices: int, max_extra
         raise ValueError("need at least 2 vertices to sample")
     _check_sample_bounds(max_vertices, max_extra_edges)
     n = rng.randint(2, max_vertices)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = _vertex_pairs(n)
     while True:
         p = rng.uniform(0.3, 0.9)
         edges = {pair: 1 for pair in pairs if rng.random() < p}
@@ -269,22 +278,86 @@ def random_connected_multigraph(rng: random.Random, max_vertices: int, max_extra
     return Multigraph(n, edges)
 
 
+def _check_labeled_bound(max_vertices: int) -> None:
+    """Refuse an exhaustive search or enumeration above 7 vertices."""
+    if max_vertices > 7:
+        raise ValueError(f"max_vertices must be at most 7 for the labeled enumeration, "
+                         f"got {max_vertices}")
+
+
+def _vertex_pairs(n: int) -> list[tuple[int, int]]:
+    """The pairs of K_n in lexicographic order: bit i of an edge mask is pair i."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _mask_edges(pairs: list[tuple[int, int]], mask: int) -> dict[tuple[int, int], int]:
+    return {pairs[i]: 1 for i in range(len(pairs)) if mask >> i & 1}
+
+
 def enumerate_connected_simple_graphs(max_vertices: int) -> Iterator[Multigraph]:
-    """All labeled connected simple graphs on 1..max_vertices vertices.
+    """All labeled connected simple graphs on 1..max_vertices vertices, by
+    n and then by edge mask.
 
     Connectivity is decided on each edge mask's table, so only connected
     ones are built. Refuses max_vertices above 7: 7 vertices already means
     2^21 edge masks, and 8 would take days.
     """
-    if max_vertices > 7:
-        raise ValueError(f"max_vertices must be at most 7 for the labeled enumeration, "
-                         f"got {max_vertices}")
+    _check_labeled_bound(max_vertices)
     for n in range(1, max_vertices + 1):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        pairs = _vertex_pairs(n)
         for mask in range(1 << len(pairs)):
-            edges = {pairs[i]: 1 for i in range(len(pairs)) if mask >> i & 1}
+            edges = _mask_edges(pairs, mask)
             if _connected(n, _adjacency(edges)):
                 yield Multigraph(n, edges)
+
+
+def _relabeling_classes(max_vertices: int) -> Iterator[tuple[Multigraph, list[int]]]:
+    """The connected simple graphs on 1..max_vertices vertices up to
+    isomorphism, each once, with its relabeling orbit.
+
+    For each n the edge masks of K_n are taken in increasing order; the
+    first one not yet seen represents its orbit, which is closed by a
+    breadth-first search under the transpositions (0 i) and marked seen.
+    These generate the symmetric group, so the orbit holds every labeled
+    graph isomorphic to the representative: n!/|Aut G| masks, the first
+    being the representative's. Yields (representative graph, orbit masks)
+    for the connected classes only.
+    """
+    for n in range(1, max_vertices + 1):
+        pairs = _vertex_pairs(n)
+        index = {p: i for i, p in enumerate(pairs)}
+        # A transposition permutes the mask's bits; three byte tables per
+        # transposition map each byte of a mask (at most 21 bits, as n <= 7)
+        # to its image.
+        tables = []
+        for i in range(1, n):
+            swap = {0: i, i: 0}
+            image = [1 << index[_key(swap.get(u, u), swap.get(v, v))] for u, v in pairs]
+            image += [0] * (24 - len(image))
+            per_byte = []
+            for b in range(0, 24, 8):
+                table = [0] * 256
+                for val in range(1, 256):
+                    low = val & -val
+                    table[val] = table[val ^ low] | image[b + low.bit_length() - 1]
+                per_byte.append(table)
+            tables.append(per_byte)
+        seen = bytearray(1 << len(pairs))
+        rep = seen.find(0)
+        while rep >= 0:
+            seen[rep] = 1
+            orbit = [rep]
+            for m in orbit:  # grows as the search finds new members
+                lo, mid, hi = m & 255, m >> 8 & 255, m >> 16
+                for t0, t1, t2 in tables:
+                    img = t0[lo] | t1[mid] | t2[hi]
+                    if not seen[img]:
+                        seen[img] = 1
+                        orbit.append(img)
+            edges = _mask_edges(pairs, rep)
+            if _connected(n, _adjacency(edges)):
+                yield Multigraph(n, edges), orbit
+            rep = seen.find(0, rep)
 
 
 # ----------------------------------------------------------------------------
@@ -304,6 +377,23 @@ class SearchOutcome:
     params: dict = field(default_factory=dict)
 
 
+def _scan(g: Multigraph) -> tuple[int, int, list[tuple[int, int]]]:
+    """The edges of g examined, how many have a coprime deletion, and the
+    coprime ones whose delta configuration does not generate, from one
+    adjugate. Generation is tested only for coprime deletions."""
+    det, adj = _adjugate(g)
+    items = g.edge_items()
+    coprime = 0
+    bad = []
+    for (x, y), c in items:
+        order_g1 = _deletion_count(det, adj, x, y, c)
+        if order_g1 > 0 and gcd(det, order_g1) == 1:
+            coprime += 1
+            if not _delta_generates(det, adj, x, y):
+                bad.append((x, y))
+    return len(items), coprime, bad
+
+
 def coprime_pair_search(
     max_vertices: int,
     max_extra_edges: int = 0,
@@ -312,17 +402,29 @@ def coprime_pair_search(
     exhaustive: bool = False,
 ) -> SearchOutcome:
     """Scan (graph, adjacent pair) instances for coprime-order pairs that do
-    not generate. Exhaustive mode walks all labeled connected simple graphs
+    not generate. Exhaustive mode covers all labeled connected simple graphs
     up to max_vertices (at most 7); otherwise `trials` seeded multigraph
     samples, each with at most max_vertices vertices, which must be at most
     200 (a sample draws for every vertex pair, and each graph is eliminated
     densely), and up to max_extra_edges edge bumps, from 0 to 100,000;
     `trials` must not be negative.
 
-    Generation is tested only for coprime deletions: delta(x, y) is read
-    off the adjugate only then.
+    Exhaustive mode scans one graph per isomorphism class and weights its
+    counts by the class's relabeling orbit, n!/|Aut G| labeled graphs, so
+    its counts are those of the labeled enumeration; a random sample has
+    weight 1. A class whose representative reports a pair is scanned again
+    member by member, and the reports are ordered by n, edge mask and pair,
+    as `enumerate_connected_simple_graphs` yields the graphs.
+
+    No report is possible: F = b^T adj(L) b, with b = e_x - e_y, is an
+    integer combination of the entries of adj(L) b, so gcd(det, adj(L) b)
+    divides F; and a coprime deletion has gcd(det, det - c F) =
+    gcd(det, c F) = 1. The report path is kept as the harness's
+    consistency check.
     """
-    if not exhaustive:
+    if exhaustive:
+        _check_labeled_bound(max_vertices)
+    else:
         _check_sample_bounds(max_vertices, max_extra_edges)
         if trials < 0:
             raise ValueError(f"trials must be nonnegative for the random search, got {trials}")
@@ -332,24 +434,32 @@ def coprime_pair_search(
         "trials": trials,
         "exhaustive": exhaustive,
     }
+    units: Iterator[tuple[Multigraph, list[int] | None]]
     if exhaustive:
-        graphs = enumerate_connected_simple_graphs(max_vertices)
+        units = _relabeling_classes(max_vertices)
     else:
         # Samples are drawn as the scan reaches them; the scan takes nothing from rng.
         rng = random.Random(seed)
-        graphs = (random_connected_multigraph(rng, max_vertices, max_extra_edges) for _ in range(trials))
+        units = ((random_connected_multigraph(rng, max_vertices, max_extra_edges), None) for _ in range(trials))
     examined = 0
     coprime_count = 0
     counterexamples: list[tuple[Multigraph, tuple[int, int]]] = []
-    for g in graphs:
-        det, adj = _adjugate(g)
-        for (x, y), c in g.edge_items():
-            examined += 1
-            order_g1 = _deletion_count(det, adj, x, y, c)
-            if order_g1 > 0 and gcd(det, order_g1) == 1:
-                coprime_count += 1
-                if not _delta_generates(det, adj, x, y):
-                    counterexamples.append((g, (x, y)))
+    labeled: list[tuple[tuple[int, int, tuple[int, int]], Multigraph]] = []
+    for g, orbit in units:
+        weight = 1 if orbit is None else len(orbit)
+        edges, coprime, bad = _scan(g)
+        examined += weight * edges
+        coprime_count += weight * coprime
+        if bad and orbit is None:
+            counterexamples += [(g, pair) for pair in bad]
+        elif bad:
+            pairs = _vertex_pairs(g.n)
+            for mask in orbit:
+                h = Multigraph(g.n, _mask_edges(pairs, mask))
+                labeled += [((g.n, mask, pair), h) for pair in _scan(h)[2]]
+    if labeled:
+        labeled.sort(key=lambda report: report[0])
+        counterexamples = [(h, key[2]) for key, h in labeled]
     return SearchOutcome(examined, coprime_count, counterexamples, seed, params)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+from math import gcd
 
 import pytest
 
@@ -180,12 +181,67 @@ def test_random_search_draws_samples_as_it_scans(monkeypatch):
     assert outcome.examined == sum(len(g.edge_items()) for g in samples)
 
 
-def test_coprime_pair_search_exhaustive_small():
+def test_coprime_pair_search_exhaustive_small(monkeypatch):
+    """The labeled counts, from one adjugate per isomorphism class: the 31
+    connected graphs on up to 5 vertices."""
+    import critgroups.verify as verify
+
+    scanned = []
+    adjugate = verify._adjugate
+    monkeypatch.setattr(verify, "_adjugate", lambda g: scanned.append(g) or adjugate(g))
     outcome = coprime_pair_search(5, exhaustive=True)
     assert (outcome.examined, outcome.coprime_instances) == (4294, 2265)
+    assert len(scanned) == 31
     assert reverify_outcome(outcome)
     # reported counterexamples, if any, must re-verify; none are expected here
     assert outcome.counterexamples == []
+
+
+def test_relabeling_classes():
+    """One class per connected graph up to isomorphism (networkx's atlas
+    lists every graph on up to 7 vertices), and orbits that together hold
+    every labeled connected graph."""
+    import critgroups.verify as verify
+
+    nx = pytest.importorskip("networkx")
+    atlas = {}
+    for h in nx.graph_atlas_g():
+        if 1 <= h.number_of_nodes() <= 6 and nx.is_connected(h):
+            atlas[h.number_of_nodes()] = atlas.get(h.number_of_nodes(), 0) + 1
+    classes, labeled = {}, {}
+    for g, orbit in verify._relabeling_classes(6):
+        classes[g.n] = classes.get(g.n, 0) + 1
+        labeled[g.n] = labeled.get(g.n, 0) + len(orbit)
+    assert classes == atlas == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+    assert labeled == {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
+
+
+def test_exhaustive_reports_match_labeled_loop(monkeypatch):
+    """With a generation predicate that fires, and that like the real one
+    does not depend on the labels (the bracket b^T adj(L) b counts two-tree
+    forests), the class scan reports exactly what a scan of every labeled
+    graph reports, in the same order."""
+    import critgroups.verify as verify
+
+    def fake_generates(det, adj, x, y):
+        return (adj[x][x] + adj[y][y] - 2 * adj[x][y]) % 3 != 0
+
+    monkeypatch.setattr(verify, "_delta_generates", fake_generates)
+    for max_vertices, reports in ((4, 12), (5, 312)):
+        examined, coprime, labeled = 0, 0, []
+        for g in enumerate_connected_simple_graphs(max_vertices):
+            det, adj = verify._adjugate(g)
+            for (x, y), c in g.edge_items():
+                examined += 1
+                order_g1 = verify._deletion_count(det, adj, x, y, c)
+                if order_g1 > 0 and gcd(det, order_g1) == 1:
+                    coprime += 1
+                    if not fake_generates(det, adj, x, y):
+                        labeled.append((g.edge_items(), (x, y)))
+        outcome = coprime_pair_search(max_vertices, exhaustive=True)
+        assert (outcome.examined, outcome.coprime_instances) == (examined, coprime)
+        assert [(g.edge_items(), pair) for g, pair in outcome.counterexamples] == labeled
+        assert len(labeled) == reports
 
 
 def _forbid(monkeypatch, *names):
