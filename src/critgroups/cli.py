@@ -284,7 +284,7 @@ def cmd_lorenzini(args, inp: Inputs) -> Output:
 def cmd_search(args, inp: Inputs) -> Output:
     outcome = coprime_pair_search(
         max_vertices=args.max_vertices,
-        max_extra_edges=2 if args.max_extra_edges is None else args.max_extra_edges,
+        max_extra_edges=0 if args.exhaustive else 2 if args.max_extra_edges is None else args.max_extra_edges,
         trials=args.trials or 0,
         seed=args.seed,
         exhaustive=args.exhaustive,
@@ -396,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vertices", type=int, default=5)
     # None marks an option not given: the random search defaults it (2 and
     # 0 trials), and an exhaustive search, which draws nothing, refuses it
+    # and runs with 0 of each
     p.add_argument("--max-extra-edges", type=int, help="default 2")
     p.add_argument("--trials", type=int, help="default 0")
     p.add_argument("--seed", type=int)

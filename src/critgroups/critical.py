@@ -8,28 +8,31 @@ taken together an isomorphism onto the direct sum. Row i of the U of a
 Smith form U L V = D, taken mod d_i, is one such map, but any row that
 gives an isomorphism serves, so element orders and equivalence come from
 one lcm over the coordinates (Cohen, GTM 138, section 2.4), and the pair
-scan from one gcd of the coordinates scaled into Z/e, e the exponent.
+scan from a gcd of the coordinates scaled into Z/e, e the exponent, taken
+one coordinate at a time.
 
 `critical_group` factors L once, by `linalg._factor_laplacian`, which
 gives |K| and a solve for adj(L) b, and solves seeded columns with it. On
 a sparse graph, such as a polygon stack, the factorization is a
 fraction-free elimination in a minimum-degree order; on a dense one it is
 the dense symmetric Bareiss elimination; either gives the same columns.
-They map K into a sum of copies of Z/|K|, and once the image has order |K|
-the Smith form of the columns modulo |K|, by `linalg._smith_mod`, gives
-the factors and rows of K itself. Random sandpile groups are cyclic or of
-small rank (Wood, J. AMS 30, 2017), so a few columns almost always certify
-K. Only when they do not does `smith_rows_mod` run the same modular Smith
-elimination on L itself, built densely only then, with no V and no full
-U. The integer `smith_normal_form` is never used here: it stays the
-reference the tests compare with.
+They map K into a sum of copies of Z/|K|. Folded into one combined
+column, they map K onto a cyclic group, and once that has order |K| it
+certifies K cyclic with no Smith step. Otherwise, once the image has order
+|K|, the Smith form of the columns modulo |K|, by `linalg._smith_mod`,
+gives the factors and rows of K itself. Random sandpile groups are cyclic
+or of small rank (Wood, J. AMS 30, 2017), so a few columns almost always
+certify K. Only when they do not does `smith_rows_mod` run the same
+modular Smith elimination on L itself, built densely only then, with no V
+and no full U. The integer `smith_normal_form` is never used here: it
+stays the reference the tests compare with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from operator import mul, sub
+from operator import mul
 from random import Random
 from typing import Iterable, Sequence
 
@@ -84,12 +87,20 @@ def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
     One factorization of L gives D = det L and a solve, by which seeded
     columns b are solved one at a time: after j of them, W = adj(L) B_j.
     As L is symmetric, (L z)^T W = D z^T B_j, so c -> c^T W mod D is a
-    homomorphism from K to (Z/D)^j; once its image has order D it is
-    injective, and `_certify` reads the factors and rows of its image. The
-    columns stop there, or when j >= 4 of them leave the image short of D
-    with j factors (K then likely has rank above j), or after
-    `_CERTIFICATE_COLUMNS`; then `smith_rows_mod` eliminates the dense L
-    modulo the same D. Raises ValueError for a disconnected graph.
+    homomorphism from K to (Z/D)^j, injective once its image has order D.
+    `_fold` keeps one combination w of the columns with h = gcd(D, w) equal
+    to the gcd of D and all of them, so c -> c^T w maps K onto the cyclic
+    group of order D/h, the exponent of the image; h = 1 certifies K cyclic
+    with the one row w. `_certify` reads the factors and rows of the image
+    only at a column that leaves h unchanged below D. Once the image has
+    order D its exponent is K's, so h falls no further and the next column
+    is read, at the cost of one more solve; while h = D the image is 0.
+    After the last column, all of them are read if the last one was not.
+    The columns stop when the factors multiply to D, or when j >= 4 of them
+    leave the image short of D with j factors (K then likely has rank above
+    j), or after `_CERTIFICATE_COLUMNS`; then `smith_rows_mod` eliminates
+    the dense L modulo the same D. Raises ValueError for a disconnected
+    graph.
     """
     if q is None:
         q = g.n - 1
@@ -99,12 +110,22 @@ def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
     if order == 1:
         factors, rows = [], []
     else:
-        cols = []
+        # comb maps K onto a cyclic subgroup of Z/|K| of order |K| / h
+        cols, comb, h, factors = [], [0] * (g.n - 1), order, None
         for b in _certificate_columns(g.n - 1):
-            cols.append([x % order for x in solve(b)])
+            u = [x % order for x in solve(b)]
+            cols.append(u)
+            if (k := gcd(h, *u)) < h:
+                comb, h, factors = _fold(order, comb, u, k), k, None
+                if h == 1:
+                    factors, rows = [order], [comb]
+                    break
+            elif h < order:
+                factors, rows = _certify(order, cols)
+                if prod(factors) == order or len(cols) >= 4 and len(factors) == len(cols):
+                    break
+        if factors is None:
             factors, rows = _certify(order, cols)
-            if prod(factors) == order or len(cols) >= 4 and len(factors) == len(cols):
-                break
         if prod(factors) != order:
             factors, rows = smith_rows_mod(IntMatrix.from_rows(_laplacian(g, q)), order)
     for row in rows:
@@ -117,6 +138,17 @@ def _certificate_columns(n: int) -> list[bytes]:
     right-hand side B: entries 0..255 from a generator seeded by n alone."""
     data = Random(n).randbytes(n * _CERTIFICATE_COLUMNS)
     return [data[i:i + n] for i in range(0, len(data), n)]
+
+
+def _fold(d: int, c: list[int], u: list[int], k: int) -> list[int]:
+    """c + t u mod d for the least t >= 1 with gcd(d, c + t u) = k, where
+    k = gcd(d, c, u) < gcd(d, c). Such a t exists: for each prime p of d/k,
+    the vectors c/p^e and u/p^e mod p, e the exponent of p in k, are not
+    both 0, so c + t u loses p in its gcd with d for at most one t mod p."""
+    t = 1
+    while gcd(d, *(x + t * y for x, y in zip(c, u))) != k:
+        t += 1
+    return [(x + t * y) % d for x, y in zip(c, u)]
 
 
 def _certify(d: int, cols: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -210,19 +242,24 @@ def find_generating_pairs(g: Multigraph) -> list[PairReport]:
 
 
 def _pair_reports(kg: CriticalGroup) -> list[PairReport]:
-    """`pair_report` for every pair, with one gcd a pair. Coordinate i,
-    scaled by e/d_i for the exponent e = d_r, maps K into Z/e, and the
-    order of w is the lcm of the d_i / gcd(d_i, w_i) = e / gcd(e, w_i e/d_i),
-    which is e / gcd(e, w_1 e/d_1, ..., w_r e/d_r)."""
+    """`pair_report` for every pair. Coordinate i, scaled by e/d_i for the
+    exponent e = d_r, maps K into Z/e, and the order of w is the lcm of the
+    d_i / gcd(d_i, w_i) = e / gcd(e, w_i e/d_i), which is
+    e / gcd(e, w_1 e/d_1, ..., w_r e/d_r). For each x, the gcds of the
+    pairs (x, y > x) are taken one coordinate row at a time, one
+    two-argument gcd a pair and row, so a cyclic group costs one gcd a
+    pair; the rows stop once every gcd at x is 1."""
     e = kg.invariant_factors[-1] if kg.invariant_factors else 1
     scaled = [[x * (e // d) for x in row] for d, row in zip(kg.invariant_factors, kg.rows)]
-    at = list(zip(*scaled)) if scaled else [()] * kg.n  # the scaled coordinates of each vertex
-    reports = []
-    for x in range(kg.n):
-        ax = at[x]
-        for y in range(x + 1, kg.n):
-            order = e // gcd(e, *map(sub, ax, at[y]))
-            reports.append(PairReport(x, y, order, order == kg.order))
+    n, reports = kg.n, []
+    for x in range(n):
+        hs = [e] * (n - x - 1)  # gcd(e, w_1, ..., w_i) of the pairs (x, y > x) so far
+        for row in scaled:
+            a = row[x]
+            hs = [gcd(h, a - b) for h, b in zip(hs, row[x + 1:])]
+            if hs.count(1) == len(hs):  # every pair at x already has order e
+                break
+        reports += [PairReport(x, y, o, o == kg.order) for y, o in zip(range(x + 1, n), [e // h for h in hs])]
     return reports
 
 

@@ -435,6 +435,63 @@ def test_cyclic_groups_need_no_second_elimination(monkeypatch):
     assert passes == [6, 11, 4]
 
 
+def test_cyclic_groups_take_no_smith_step(monkeypatch):
+    """A cyclic K is certified by the one combined column, with no Smith
+    step on the columns: on a wedge (one column), a polygon stack and a
+    seeded random multigraph whose |K| = 5209414040 takes three columns."""
+    cases = [wedge_3_5(), polygon_stack((4,) * 5).graph, random_connected_multigraph(random.Random(20), 12, 4)]
+    want = [[d for d in smith_normal_form(reduced_laplacian(g, g.n - 1)).diagonal() if d > 1] for g in cases]
+    assert [len(f) for f in want] == [1, 1, 1] and want[2] == [5209414040]
+
+    def refuse(*args):
+        raise AssertionError("Smith step on the certificate columns")
+
+    solves = []
+
+    def count(g, q):
+        det, solve = linalg._factor_laplacian(g, q)
+        return det, lambda b: solves.append(b) or solve(b)
+
+    monkeypatch.setattr(critical, "_certify", refuse)
+    monkeypatch.setattr(critical, "_smith_mod", refuse)
+    monkeypatch.setattr(critical, "smith_rows_mod", refuse)
+    monkeypatch.setattr(critical, "_factor_laplacian", count)
+    counts = []
+    for g, factors in zip(cases, want):
+        solves.clear()
+        kg = critical_group(g)
+        counts.append(len(solves))
+        assert kg.invariant_factors == factors
+        row = kg.rows[0][:-1]  # the deleted vertex q = n - 1 comes last
+        assert gcd(kg.order, *row) == 1
+        cols = list(zip(*reduced_laplacian(g, g.n - 1).to_rows()))
+        assert all(sum(u * x for u, x in zip(row, col)) % kg.order == 0 for col in cols)
+    assert counts == [1, 2, 3]
+
+
+def test_pair_scan_matches_pair_report():
+    """The scan of `find_generating_pairs`, which takes one coordinate row
+    at a time and stops early, against `pair_report`, which takes the lcm
+    of the orders in each Z/d_i, at two deleted vertices, on groups of rank
+    0 to 3 (two with unequal factors, scaled into Z/e) and K_7 (rank 5)."""
+    cases = {
+        0: [Multigraph(4, {(0, 1): 1, (1, 2): 1, (1, 3): 1})],
+        1: [wedge_3_5_7(), polygon_stack((3, 5, 6, 4)).graph, cycle_graph(8)],
+        2: [complete_graph(4), wedge_sum(cycle_graph(2), 0, cycle_graph(4), 1)],
+        3: [complete_graph(5), wedge_sum(wedge_sum(cycle_graph(2), 0, cycle_graph(4), 0), 3, cycle_graph(6), 0)],
+        5: [complete_graph(7)],
+    }
+    for rank, graphs in cases.items():
+        for g in graphs:
+            for q in (0, g.n - 1):
+                kg = critical_group(g, q)
+                assert len(kg.invariant_factors) == rank
+                want = [pair_report(kg, x, y) for x in range(g.n) for y in range(x + 1, g.n)]
+                assert critical._pair_reports(kg) == want
+            assert find_generating_pairs(g) == want
+    assert critical_group(cases[3][1]).invariant_factors == [2, 2, 12]
+
+
 def test_certificate_falls_back_to_smith_rows(monkeypatch):
     calls = _spy_smith_rows_mod(monkeypatch)
     solves = []
@@ -466,6 +523,14 @@ def test_certificate_falls_back_to_smith_rows(monkeypatch):
     assert calls == [11**9, 6] and len(solves) == critical._CERTIFICATE_COLUMNS
     assert (kg.invariant_factors, kg.order) == (certified.invariant_factors, certified.order) == ([6], 6)
     assert find_generating_pairs(g) == want
+    # Z/2 + Z/4: the first seven columns map K onto Z/2 + Z/2, and the last
+    # one, which lowers the combined column's gcd with |K| = 8, completes
+    # the image; all eight are read once more, with no fallback
+    a, b, c = [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]
+    monkeypatch.setattr(critical, "_certificate_columns", lambda n: [a, b] * 3 + [a, c])
+    solves.clear()
+    assert critical_group(wedge_sum(cycle_graph(2), 0, cycle_graph(4), 1)).invariant_factors == [2, 4]
+    assert calls == [11**9, 6, 6] and len(solves) == critical._CERTIFICATE_COLUMNS
 
 
 def _modular_cases():
