@@ -12,16 +12,21 @@ scan from a gcd of the coordinates scaled into Z/e, e the exponent, taken
 one coordinate at a time.
 
 `critical_group` factors L once, by `linalg._factor_laplacian`, which
-gives |K| and a solve for adj(L) b, and solves seeded columns with it. On
-a sparse graph, such as a polygon stack, the factorization is a
-fraction-free elimination in a minimum-degree order; on a dense one it is
-the dense symmetric Bareiss elimination; either gives the same columns.
-They map K into a sum of copies of Z/|K|. Folded into one combined
-column, they map K onto a cyclic group, and once that has order |K| it
-certifies K cyclic with no Smith step. Otherwise, once the image has order
-|K|, the Smith form of the columns modulo |K|, by `linalg._smith_mod`,
-gives the factors and rows of K itself. Random sandpile groups are cyclic
-or of small rank (Wood, J. AMS 30, 2017), so a few columns almost always
+gives |K| and a solve for adj(L) b, and solves columns with it: first the
+unit column of L's last row, then seeded ones. On a sparse graph, such as
+a polygon stack, the factorization is a fraction-free elimination in a
+minimum-degree order; on a dense one it is the dense symmetric Bareiss
+elimination, three pivots a pass; either gives the same columns. They map
+K into a sum of copies of Z/|K|. Folded into one combined column, they
+map K onto a cyclic group, and once that has order |K| it certifies K
+cyclic with no Smith step. The first column alone does so exactly when
+the class of delta(v, q), v the vertex of L's last row, generates K, as
+it does on a polygon stack whose top polygon has four or more sides:
+with q = n - 1, v = n - 2 and q are adjacent on the top path, and the
+paper's theorem applies. Otherwise, once the image has order |K|, the
+Smith form of the columns modulo |K|, by `linalg._smith_mod`, gives the
+factors and rows of K itself. Random sandpile groups are cyclic or of
+small rank (Wood, J. AMS 30, 2017), so a few columns almost always
 certify K. Only when they do not does `smith_rows_mod` run the same
 modular Smith elimination on L itself, built densely only then, with no V
 and no full U. The integer `smith_normal_form` is never used here: it
@@ -84,19 +89,25 @@ class CriticalGroup:
 def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
     """Critical group of a connected multigraph (trivial for one vertex).
 
-    One factorization of L gives D = det L and a solve, by which seeded
-    columns b are solved one at a time: after j of them, W = adj(L) B_j.
-    As L is symmetric, (L z)^T W = D z^T B_j, so c -> c^T W mod D is a
-    homomorphism from K to (Z/D)^j, injective once its image has order D.
-    `_fold` keeps one combination w of the columns with h = gcd(D, w) equal
-    to the gcd of D and all of them, so c -> c^T w maps K onto the cyclic
-    group of order D/h, the exponent of the image; h = 1 certifies K cyclic
-    with the one row w. `_certify` reads the factors and rows of the image
-    only at a column that leaves h unchanged below D. Once the image has
-    order D its exponent is K's, so h falls no further and the next column
-    is read, at the cost of one more solve; while h = D the image is 0.
-    After the last column, all of them are read if the last one was not.
-    The columns stop when the factors multiply to D, or when j >= 4 of them
+    One factorization of L gives D = det L and a solve, by which the
+    columns b of `_certificate_columns` are solved one at a time: after j
+    of them, W = adj(L) B_j. As L is symmetric, (L z)^T W = D z^T B_j, so
+    c -> c^T W mod D is a homomorphism from K to (Z/D)^j, injective once
+    its image has order D. The first column, e_{m-1} for the m = n - 1 rows
+    of L, is the one the dense solve reads by back substitution alone, and
+    it maps K onto Z/D, by the pairing of K with the class of delta(v, q),
+    v the vertex of row m - 1, exactly when that class generates K. `_fold`
+    keeps one combination w of the columns with h = gcd(D, w) equal to the
+    gcd of D and all of them, so c -> c^T w maps K onto the cyclic group of
+    order D/h, the exponent of the image; h = 1 certifies K cyclic with the
+    one row w. `_certify` reads the factors and rows of the image only at a
+    column that leaves h unchanged below D, and only when some column is
+    not a multiple of w mod D (`_in_cyclic_image`): otherwise the image is
+    cyclic of order D/h < D and cannot certify K. Once the image has order
+    D its exponent is K's, so h falls no further and the next column is
+    read, at the cost of one more solve; while h = D the image is 0. After
+    the last column, all of them are read if the last one was not. The
+    columns stop when the factors multiply to D, or when j >= 4 of them
     leave the image short of D with j factors (K then likely has rank above
     j), or after `_CERTIFICATE_COLUMNS`; then `smith_rows_mod` eliminates
     the dense L modulo the same D. Raises ValueError for a disconnected
@@ -120,7 +131,7 @@ def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
                 if h == 1:
                     factors, rows = [order], [comb]
                     break
-            elif h < order:
+            elif h < order and not _in_cyclic_image(order, h, comb, cols):
                 factors, rows = _certify(order, cols)
                 if prod(factors) == order or len(cols) >= 4 and len(factors) == len(cols):
                     break
@@ -134,10 +145,12 @@ def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
 
 
 def _certificate_columns(n: int) -> list[bytes]:
-    """The _CERTIFICATE_COLUMNS columns of length n of the certificate's
-    right-hand side B: entries 0..255 from a generator seeded by n alone."""
-    data = Random(n).randbytes(n * _CERTIFICATE_COLUMNS)
-    return [data[i:i + n] for i in range(0, len(data), n)]
+    """The _CERTIFICATE_COLUMNS columns of length n >= 1 of the
+    certificate's right-hand side B: first e_{n-1}, which a solve reads by
+    back substitution alone, then columns of entries 0..255 from a
+    generator seeded by n alone."""
+    data = Random(n).randbytes(n * (_CERTIFICATE_COLUMNS - 1))
+    return [bytes(n - 1) + b"\1"] + [data[i:i + n] for i in range(0, len(data), n)]
 
 
 def _fold(d: int, c: list[int], u: list[int], k: int) -> list[int]:
@@ -149,6 +162,24 @@ def _fold(d: int, c: list[int], u: list[int], k: int) -> list[int]:
     while gcd(d, *(x + t * y for x, y in zip(c, u))) != k:
         t += 1
     return [(x + t * y) % d for x, y in zip(c, u)]
+
+
+def _in_cyclic_image(d: int, h: int, w: list[int], cols: list[list[int]]) -> bool:
+    """Whether every column is a multiple of w mod d, where h = gcd(d, w)
+    is the gcd of d and all the columns. They span a cyclic group exactly
+    when it holds, as w has the largest order, d/h, among them; the
+    multiple is read off an entry i with gcd(d, w_i) = h, and False is
+    returned when no entry has that gcd."""
+    i = next((i for i, x in enumerate(w) if gcd(d, x) == h), None)
+    if i is None:
+        return False
+    e = d // h
+    inv = pow(w[i] // h, -1, e)
+    for u in cols:
+        a = u[i] // h * inv % e
+        if any((x - a * y) % d for x, y in zip(u, w)):
+            return False
+    return True
 
 
 def _certify(d: int, cols: list[list[int]]) -> tuple[list[int], list[list[int]]]:

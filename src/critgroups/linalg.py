@@ -8,18 +8,20 @@ row step that clears its column, folding rows and columns into such an
 entry where none is found. It gives the invariant factors of a
 nonsingular matrix and their rows of U modulo its determinant
 (`smith_rows_mod`), and the Smith form, modulo the group order, of the
-seeded columns that `critical_group` certifies groups with.
+columns that `critical_group` certifies groups with.
 
 On a symmetric matrix, such as every reduced Laplacian, `_eliminate`
 updates only the upper triangle, which about halves its work, and takes
-two pivots per pass by Bareiss's two-step update, which saves a product
-and a division per entry and pair; a zero pivot mirrors the upper
-triangle into the lower one and the elimination goes on with row swaps.
-A symmetric elimination with no swap keeps its multipliers in its
-triangle, and one back-substitution loop, `_back`, reads everything else
-off it: `_solve` gives adj(a) b for one column, and the search in `verify`
-reads the whole adjugate with `_adjugate`, and edge deletions, element
-orders and cyclicity off det and adj by formula. Its graphs are connected:
+three pivots per pass by Bareiss's three-step update, which makes four
+products and one division per entry where three single steps make six
+and three; a zero pivot mirrors the upper triangle into the lower one and
+the elimination goes on with row swaps. A symmetric elimination with no
+swap keeps its multipliers in its triangle, and one back-substitution
+loop, `_back`, reads everything else off it: `_solve` gives adj(a) b for
+one column, from b's first nonzero entry on, so a unit column e_c costs
+the forward steps after c only, and the search in `verify` reads the
+whole adjugate with `_adjugate`, and edge deletions, element orders and
+cyclicity off det and adj by formula. Its graphs are connected:
 `lorenzini_check` refuses a disconnected one before it eliminates.
 
 A graph's reduced Laplacian L has one entry, `_factor_laplacian`, which
@@ -119,19 +121,28 @@ def _eliminate(m: list[list[int]]) -> tuple[int, list[list[int]], bool]:
 
     For a symmetric a the block stays symmetric until rows are swapped. The
     elimination then updates only the upper triangle, from the diagonal
-    on, and takes two pivots per pass by Bareiss's two-step update
-    (Sylvester's identity; Bareiss, Math. Comp. 22, 1968): with p the first
-    pivot, q the second and prev the one before them,
-        row_i <- (q row_i + c1 row_k + c2 row_{k+1}) / prev,
-    where c1 and c2 are the 2 x 2 cofactors of row i's entries in columns k
-    and k+1, also divided by prev; row k+1 takes its own single step. That
-    saves a product and an exact division per entry and pair of pivots. A
-    zero second pivot or an odd tail takes the single step, and a zero
-    pivot mirrors the upper triangle of the block into the lower one, after
-    which elimination goes on over full rows with swaps. An elimination
-    that ends symmetric never swapped and met no zero pivot before the
-    last, and its row k holds the multipliers of step k: entry (k, i) is
-    entry (i, k) of that step's block.
+    on, and takes three pivots per pass by Bareiss's three-step update
+    (Sylvester's identity; Bareiss, Math. Comp. 22, 1968). Let B be the
+    3 x 3 pivot block at step k, prev the pivot before it, and A =
+    adj(B) / prev, whose entries are 2 x 2 minors of the block and so
+    divide exactly. The third pivot is q = det B / prev^2 = (B_0 . A_0) /
+    prev. A row i > k + 2 whose entries in columns k..k+2 are v takes
+    w = A v / prev and
+        row_i <- (q row_i - w_0 row_k - w_1 row_{k+1} - w_2 row_{k+2}) / prev,
+    which is det(B) a_ij - v^T adj(B) u_j, u_j column j in rows k..k+2,
+    over prev^3: a bordered 4 x 4 minor. That is four products and one
+    exact division per entry for three pivots, where single steps take six
+    and three. Row k+2 takes the two-step update
+    (A_22 row_{k+2} + A_02 row_k + A_12 row_{k+1}) / prev, A_22 being the
+    second pivot, and row k+1 its single step, so each row holds its own
+    step's entries. A zero second or third pivot, or fewer than four rows
+    left, takes the single step, and a zero pivot mirrors the upper
+    triangle of the block into the lower one, after which elimination goes
+    on over full rows with swaps. Each entry is the same bordered minor
+    whichever steps produced it. An elimination that ends symmetric never
+    swapped and met no zero pivot before the last, and its row k holds the
+    multipliers of step k: entry (k, i) is entry (i, k) of that step's
+    block.
     """
     n = len(m)
     symmetric = m == list(map(list, zip(*m)))
@@ -151,19 +162,26 @@ def _eliminate(m: list[list[int]]) -> tuple[int, list[list[int]], bool]:
             m[k], m[i] = m[i], m[k]
             sign = -sign
         top, p = m[k], m[k][k]
-        nxt, f, r = m[k + 1], top[k + 1], m[k + 1][k + 1]
-        if symmetric and k + 2 < n and (q := (p * r - f * f) // prev):
-            for i in range(k + 2, n):
-                row, e, g = m[i], top[i], nxt[i]
-                c1 = (f * g - r * e) // prev
-                c2 = (f * e - p * g) // prev
-                for j in range(i, n):
-                    row[j] = (row[j] * q + c1 * top[j] + c2 * nxt[j]) // prev
-            for j in range(k + 1, n):
-                nxt[j] = (nxt[j] * p - f * top[j]) // prev
-            prev = q
-            k += 2
-            continue
+        if symmetric and k + 3 < n:
+            n1, n2 = m[k + 1], m[k + 2]
+            b, c, d, e, f = top[k + 1], top[k + 2], n1[k + 1], n1[k + 2], n2[k + 2]
+            a00, a01, a02 = (d * f - e * e) // prev, (c * e - b * f) // prev, (b * e - c * d) // prev
+            a11, a12, a22 = (p * f - c * c) // prev, (b * c - p * e) // prev, (p * d - b * b) // prev
+            if a22 and (q := (p * a00 + b * a01 + c * a02) // prev):
+                for i in range(k + 3, n):
+                    row, x, y, z = m[i], top[i], n1[i], n2[i]
+                    w0 = (a00 * x + a01 * y + a02 * z) // prev
+                    w1 = (a01 * x + a11 * y + a12 * z) // prev
+                    w2 = (a02 * x + a12 * y + a22 * z) // prev
+                    for j in range(i, n):
+                        row[j] = (row[j] * q - w0 * top[j] - w1 * n1[j] - w2 * n2[j]) // prev
+                for j in range(k + 2, n):
+                    n2[j] = (n2[j] * a22 + a02 * top[j] + a12 * n1[j]) // prev
+                for j in range(k + 1, n):
+                    n1[j] = (n1[j] * p - b * top[j]) // prev
+                prev = q
+                k += 3
+                continue
         for i in range(k + 1, n):
             row = m[i]
             f = top[i] if symmetric else row[k]
@@ -194,17 +212,23 @@ def _back(m: list[list[int]], y: list[int], start: int) -> list[int]:
 def _solve(m: list[list[int]], symmetric: bool, b: Sequence[int]) -> list[int]:
     """adj(a) b for a column b, read off the rows m of a symmetric
     `_eliminate` of a: b is eliminated with the multipliers m[k][i] that
-    the triangle stores, then back-substituted by `_back`. Raises
-    ValueError if the elimination swapped rows, since its rows then no
-    longer hold its multipliers."""
+    the triangle stores, then back-substituted by `_back`. The forward
+    steps start at b's first nonzero entry s: each step before s leaves
+    the zeros at 0 and scales the other entries by its pivot over the one
+    before, so they start as b_i p_{s-1}, p_{s-1} the pivot of step s - 1,
+    and e_{n-1} needs back substitution alone, as `_adjugate`'s last
+    column does. Raises ValueError if the elimination swapped rows, since
+    its rows then no longer hold its multipliers."""
     if not symmetric:
         raise ValueError("the triangle was eliminated with row swaps, so it holds no multipliers")
     n = len(m)
     if len(b) != n:
         raise ValueError(f"right-hand side has {len(b)} entries, expected {n}")
     y = list(b)
-    prev = 1
-    for k in range(n - 1):
+    s = next((i for i, x in enumerate(y) if x), 0)
+    prev = m[s - 1][s - 1] if s else 1
+    y[s:] = [x * prev for x in y[s:]]
+    for k in range(s, n - 1):
         top, p, yk = m[k], m[k][k], y[k]
         y[k + 1:] = [(x * p - f * yk) // prev for x, f in zip(y[k + 1:], top[k + 1:])]
         prev = p
@@ -242,7 +266,7 @@ def determinant(a: IntMatrix) -> int:
 
 def _laplacian(g, q: int) -> list[list[int]]:
     """Rows of the reduced Laplacian of the multigraph g at vertex q,
-    filled from the degrees and g.edge_items(), with no connectivity
+    filled from the degrees and the edge table, with no connectivity
     check: its determinant is the spanning-tree count, 0 exactly when g is
     disconnected (no rows, determinant 1, for one vertex). The rows are
     dense, so a caller checks first that g is connected or, as
@@ -255,7 +279,7 @@ def _laplacian(g, q: int) -> list[list[int]]:
         if v != q:
             i = v - (v > q)
             rows[i][i] = g.degree(v)
-    for (u, v), mult in g.edge_items():
+    for (u, v), mult in g._edges.items():  # in any order: the rows do not depend on it
         if q not in (u, v):
             i, j = u - (u > q), v - (v > q)
             rows[i][j] = rows[j][i] = -mult
@@ -263,11 +287,12 @@ def _laplacian(g, q: int) -> list[list[int]]:
 
 
 # Cost of one entry update of `_sparse_factor`, in entry updates of the
-# dense two-step `_eliminate`, which makes about m^3 / 6 of them on an
-# m x m matrix. Measured on graphs that fill completely, the sparse kernel
-# takes 1.5 to 2.5 times as long for the same count; 4 also covers its
-# cost per step, which the count leaves out, so that a graph of fewer than
-# about 10 vertices goes dense whatever its shape.
+# dense `_eliminate`, which makes about m^3 / 6 of them on an m x m matrix
+# taking pivots singly. Measured on graphs that fill completely, against
+# the dense kernel's earlier two-step form, the sparse kernel takes 1.5 to
+# 2.5 times as long for the same count; 4 also covers its cost per step,
+# which the count leaves out, so that a graph of fewer than about 10
+# vertices goes dense whatever its shape.
 _SPARSE_COST = 4
 
 
@@ -290,14 +315,15 @@ def _factor_laplacian(g, q: int) -> tuple[int, Callable[[Sequence[int]], list[in
     adj(L) b, which are unique."""
     if not (0 <= q < g.n):
         raise ValueError(f"vertex {q} out of range for n={g.n}" if g.n else "graph has no vertices")
-    edges = g.edge_items()
-    if len(edges) < g.n - 1:
+    e = len(g._edges)
+    if e < g.n - 1:
         return 0, None
     m = g.n - 1
-    if m and 2 * len(edges) ** 2 / m + len(edges) > m * m * m / 6 / _SPARSE_COST:
+    if m and 2 * e * e / m + e > m * m * m / 6 / _SPARSE_COST:
         det, tri, symmetric = _eliminate(_laplacian(g, q))
         return (det, lambda b: _solve(tri, symmetric, b)) if det else (0, None)
-    return _sparse_factor(g.n, edges, q)
+    # sorted, so that the minimum-degree order breaks its ties the same way on equal graphs
+    return _sparse_factor(g.n, g.edge_items(), q)
 
 
 @dataclass

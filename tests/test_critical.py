@@ -437,8 +437,11 @@ def test_cyclic_groups_need_no_second_elimination(monkeypatch):
 
 def test_cyclic_groups_take_no_smith_step(monkeypatch):
     """A cyclic K is certified by the one combined column, with no Smith
-    step on the columns: on a wedge (one column), a polygon stack and a
-    seeded random multigraph whose |K| = 5209414040 takes three columns."""
+    step on the columns: on a wedge (two columns), a polygon stack (one:
+    the first column, e_{n-2}, maps K onto Z/|K| by the class of
+    delta(n - 2, n - 1), a pair on the top path) and a seeded random
+    multigraph whose |K| = 5209414040 takes four columns, at some of which
+    the image stays cyclic and short of |K|."""
     cases = [wedge_3_5(), polygon_stack((4,) * 5).graph, random_connected_multigraph(random.Random(20), 12, 4)]
     want = [[d for d in smith_normal_form(reduced_laplacian(g, g.n - 1)).diagonal() if d > 1] for g in cases]
     assert [len(f) for f in want] == [1, 1, 1] and want[2] == [5209414040]
@@ -466,7 +469,7 @@ def test_cyclic_groups_take_no_smith_step(monkeypatch):
         assert gcd(kg.order, *row) == 1
         cols = list(zip(*reduced_laplacian(g, g.n - 1).to_rows()))
         assert all(sum(u * x for u, x in zip(row, col)) % kg.order == 0 for col in cols)
-    assert counts == [1, 2, 3]
+    assert counts == [2, 1, 4]
 
 
 def test_pair_scan_matches_pair_report():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -178,47 +179,94 @@ def test_symmetric_kernel_matches_full_elimination_on_laplacians():
         assert _eliminate([list(r) for r in full])[::2] == (det, False)
 
 
-def _second_pivot_zero_cases():
-    """Symmetric matrices at odd and even n whose elimination meets a pair
-    of pivots with the first nonzero and the second zero: the 3x3 of the
-    two-step's own example, then seeded ones up to 6x6 with small entries,
-    where that happens at the first or a later pair."""
-    yield [[1, 1, 1], [1, 1, 2], [1, 2, 1]]
+def _leading_pivots(rows):
+    """The pivots of Gaussian elimination without swaps over the rationals,
+    up to and including the first zero one: pivot k is the ratio of the
+    leading minors of orders k + 1 and k."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for k in range(len(a)):
+        pivots.append(p := a[k][k])
+        if p == 0:
+            break
+        for r in a[k + 1:]:
+            f = r[k] / p
+            r[k:] = [x - f * y for x, y in zip(r[k:], a[k][k:])]
+    return pivots
+
+
+def _triple_zero_pivot_cases():
+    """Symmetric matrices of 4 to 9 rows whose elimination meets a triple
+    of pivots k, k + 1, k + 2 (k a multiple of 3, with a row left below)
+    whose first pivot is nonzero and whose second or third is zero, each
+    as (rows, k, 1 or 2 for the zero's position in the triple): one small
+    example of each position, then seeded ones with small entries."""
+    yield [[1, 1, 1, 0], [1, 1, 2, 0], [1, 2, 1, 0], [0, 0, 0, 1]], 0, 1
+    yield [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 0, 2
     rng = random.Random(1968)
-    for _ in range(400):
-        n = rng.randint(3, 6)
+    for _ in range(1000):
+        n = rng.randint(4, 9)
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = rng.randint(-2, 2)
-        # pivot k is the ratio of leading minors k+1 and k, pairs start at even k
-        minors = [cofactor_det([r[:k] for r in rows[:k]]) for k in range(n + 1)]
-        for k in range(0, n - 2, 2):
-            if 0 in minors[1:k + 1]:
-                break
-            if minors[k + 1] and minors[k + 2] == 0:
-                yield rows
-                break
+        pivots = _leading_pivots(rows)
+        z = len(pivots) - 1
+        if pivots[-1] == 0 and z % 3 and z - z % 3 + 3 < n:
+            yield rows, z - z % 3, z % 3
 
 
-def test_two_step_zero_second_pivot_matches_sympy():
-    """A zero second pivot leaves a zero pivot before the last for the
-    single step, so each of these eliminations swaps rows or stops
-    singular, and its triangle has no adjugate to read."""
+def test_three_step_zero_pivot_matches_sympy():
+    """A zero second or third pivot of a triple leaves a zero pivot before
+    the last for the single step, so each of these eliminations swaps rows
+    or stops singular, and its triangle has no adjugate to read. Covered:
+    either position, at the first triple and a later one, and every n
+    mod 3, checked against sympy's det."""
     sympy = pytest.importorskip("sympy")
-    sizes = set()
-    later_pair = nonsingular = 0
-    for rows in _second_pivot_zero_cases():
-        n = len(rows)
-        sizes.add(n % 2)
-        later_pair += cofactor_det([r[:2] for r in rows[:2]]) != 0
+    kinds = set()
+    later_triple = nonsingular = 0
+    for rows, k, position in _triple_zero_pivot_cases():
+        kinds.add((len(rows) % 3, position))
+        later_triple += k > 0
         det, tri, symmetric = _eliminate([list(r) for r in rows])
         assert det == sympy.Matrix(rows).det()
         nonsingular += det != 0
         assert not symmetric
         with pytest.raises(ValueError, match="row swaps"):
             _adjugate(tri, symmetric)
-    assert sizes == {0, 1} and later_pair > 0 and nonsingular > 0
+    assert kinds == {(r, p) for r in range(3) for p in (1, 2)} and later_triple > 0 and nonsingular > 0
+
+
+def _single_step(rows):
+    """The plain Bareiss elimination, one pivot a step over full rows,
+    with no swap: the reference for the upper triangle of `_eliminate`."""
+    m = [list(r) for r in rows]
+    prev = 1
+    for k in range(len(m) - 1):
+        p = m[k][k]
+        for r in m[k + 1:]:
+            f = r[k]
+            r[k + 1:] = [(x * p - f * y) // prev for x, y in zip(r[k + 1:], m[k][k + 1:])]
+        prev = p
+    return m
+
+
+def test_three_step_triangle_matches_single_steps_on_laplacians():
+    """Every entry of the triangle, which `_solve`, `_back` and `_adjugate`
+    read as multipliers, is the single-step elimination's, on Laplacians of
+    every n mod 3, where the passes end in tails of one to three single
+    steps."""
+    rng = random.Random(1022)
+    sizes = set()
+    for _ in range(60):
+        g = random_connected_multigraph(rng, 40, 20)
+        a = reduced_laplacian(g, rng.randrange(g.n)).to_rows()
+        det, tri, symmetric = _eliminate([list(r) for r in a])
+        ref = _single_step(a)
+        assert symmetric and det == (ref[-1][-1] if ref else 1)
+        assert [r[i:] for i, r in enumerate(tri)] == [r[i:] for i, r in enumerate(ref)]
+        sizes.add(len(a) % 3)
+    assert sizes == {0, 1, 2}
 
 
 def test_triangle_solve_matches_kernel_and_sympy():
@@ -237,6 +285,9 @@ def test_triangle_solve_matches_kernel_and_sympy():
         adj = _adjugate(tri, symmetric)
         solved = [_solve(tri, symmetric, col) for col in zip(*b)]
         assert solved == [[sum(x * y for x, y in zip(row, col)) for row in adj] for col in zip(*b)]
+        # e_c starts the forward pass at c, as its first c entries are zero
+        units = [[int(i == c) for i in range(a.rows)] for c in range(a.rows)]
+        assert [_solve(tri, symmetric, e) for e in units] == [list(c) for c in zip(*adj)]
         if a.rows <= 8:
             ref = sympy.Matrix(a.to_rows()).adjugate()
             assert adj == _sympy_rows(ref)
