@@ -41,7 +41,7 @@ from operator import mul
 from random import Random
 from typing import Iterable, Sequence
 
-from .graphs import Multigraph, is_connected
+from .graphs import Multigraph, _ints, is_connected
 from .linalg import IntMatrix, _factor_laplacian, _laplacian, _smith_mod, smith_rows_mod
 
 # Most columns of the certificate in `critical_group`. The image of K under
@@ -303,9 +303,12 @@ def direct_sum_factors(fs1: Sequence[int], fs2: Sequence[int]) -> list[int]:
 
     Replacing a pair (a, b) by (gcd, lcm) keeps every prime's multiset of
     exponents; doing it for every i < j leaves each prime's exponents in
-    ascending order, which is the divisibility chain.
+    ascending order, which is the divisibility chain. Entries go through
+    `operator.index` and must be at least 1; those equal to 1 are dropped.
     """
-    fs = sorted(f for f in (*fs1, *fs2) if f > 1)
+    fs = sorted(_ints(fs1, "fs1[{}]") + _ints(fs2, "fs2[{}]"))
+    if fs and fs[0] < 1:
+        raise ValueError(f"invariant factor {fs[0]} is below 1")
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
             fs[i], fs[j] = gcd(fs[i], fs[j]), lcm(fs[i], fs[j])

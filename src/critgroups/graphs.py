@@ -227,8 +227,7 @@ def _add_chain(edges: dict[tuple[int, int], int], chain: Sequence[int]) -> None:
 def delete_edges(g: Multigraph, x: int, y: int, count: int | None = None) -> Multigraph:
     """Remove `count` parallel edges between x and y (all of them when None)."""
     m = g.multiplicity(x, y)
-    if count is None:
-        count = m
+    count = m if count is None else _ints([count], "count")[0]
     if not (0 <= count <= m):
         raise ValueError(f"cannot remove {count} edges from multiplicity {m}")
     edges = g.edge_dict()

@@ -16,10 +16,10 @@ normal form.
 The exhaustive search scans one connected graph per isomorphism class: the
 first edge mask of each relabeling orbit, closed under the transpositions
 (0 i), and weights its counts by the orbit's size n!/|Aut G|, so they equal
-the labeled enumeration's. A random sample has weight 1. Sampled graphs and
-class representatives are tested for connectivity on the drawn edge table,
-so one Multigraph is built per graph; the sampler checks the random
-search's bounds before it draws.
+the labeled enumeration's; a report names the class representative. A
+random sample has weight 1. Sampled graphs and class representatives are
+tested for connectivity on the drawn edge table, so one Multigraph is built
+per graph; the sampler checks the random search's bounds before it draws.
 
 The search cannot report a pair: with b = e_x - e_y, gcd(det L, adj L b)
 divides F = b^T adj L b, and a coprime deletion has gcd(det L, c F) = 1. Its
@@ -36,7 +36,7 @@ from math import comb, gcd, lcm, prod
 from typing import Iterator
 
 from .critical import delta_config, reduced_laplacian
-from .graphs import Multigraph, _adjacency, _connected, _key, add_path, delete_edges, is_connected
+from .graphs import Multigraph, _adjacency, _connected, _ints, _key, add_path, delete_edges, is_connected
 from . import linalg
 from .linalg import _laplacian, smith_normal_form
 
@@ -67,6 +67,7 @@ MAX_SUBSETS = 10**6
 def _edge_instances(g: Multigraph, limit: int, size: int) -> list[tuple[int, int]]:
     """Edges of a connected g, parallel ones repeated: at most `limit` of
     them, and at most MAX_SUBSETS subsets of `size` of them to enumerate."""
+    limit = _ints([limit], "limit")[0]
     if not is_connected(g):
         raise ValueError("graph must be connected")
     out = [e for e, m in g.edge_items() for _ in range(m)]
@@ -248,9 +249,9 @@ MAX_SAMPLE_EXTRA_EDGES = 100_000  # one random pair is drawn for each
 
 def _check_sample_bounds(max_vertices: int, max_extra_edges: int) -> None:
     """Refuse sampling parameters outside the random search's bounds."""
-    if max_vertices > MAX_SAMPLE_VERTICES:
-        raise ValueError(f"max_vertices must be at most {MAX_SAMPLE_VERTICES} for the random search, "
-                         f"got {max_vertices}")
+    if not 2 <= max_vertices <= MAX_SAMPLE_VERTICES:
+        bound = "at least 2" if max_vertices < 2 else f"at most {MAX_SAMPLE_VERTICES}"
+        raise ValueError(f"max_vertices must be {bound} for the random search, got {max_vertices}")
     if not 0 <= max_extra_edges <= MAX_SAMPLE_EXTRA_EDGES:
         raise ValueError(f"max_extra_edges must be from 0 to {MAX_SAMPLE_EXTRA_EDGES} for the random search, "
                          f"got {max_extra_edges}")
@@ -261,8 +262,6 @@ def random_connected_multigraph(rng: random.Random, max_vertices: int, max_extra
     decided on the drawn edge table, then up to max_extra_edges multiplicity
     bumps on random vertex pairs; one graph is built. The random search's
     bounds (2 to 200 vertices, 0 to 100,000 bumps) are checked before any draw."""
-    if max_vertices < 2:
-        raise ValueError("need at least 2 vertices to sample")
     _check_sample_bounds(max_vertices, max_extra_edges)
     n = rng.randint(2, max_vertices)
     pairs = _vertex_pairs(n)
@@ -279,10 +278,10 @@ def random_connected_multigraph(rng: random.Random, max_vertices: int, max_extra
 
 
 def _check_labeled_bound(max_vertices: int) -> None:
-    """Refuse an exhaustive search or enumeration above 7 vertices."""
-    if max_vertices > 7:
-        raise ValueError(f"max_vertices must be at most 7 for the labeled enumeration, "
-                         f"got {max_vertices}")
+    """Refuse an exhaustive search or enumeration below 1 or above 7 vertices."""
+    if not 1 <= max_vertices <= 7:
+        bound = "at least 1" if max_vertices < 1 else "at most 7"
+        raise ValueError(f"max_vertices must be {bound} for the labeled enumeration, got {max_vertices}")
 
 
 def _vertex_pairs(n: int) -> list[tuple[int, int]]:
@@ -299,8 +298,8 @@ def enumerate_connected_simple_graphs(max_vertices: int) -> Iterator[Multigraph]
     n and then by edge mask.
 
     Connectivity is decided on each edge mask's table, so only connected
-    ones are built. Refuses max_vertices above 7: 7 vertices already means
-    2^21 edge masks, and 8 would take days.
+    ones are built. Refuses max_vertices below 1 or above 7: 7 vertices
+    already means 2^21 edge masks, and 8 would take days.
     """
     _check_labeled_bound(max_vertices)
     for n in range(1, max_vertices + 1):
@@ -311,17 +310,18 @@ def enumerate_connected_simple_graphs(max_vertices: int) -> Iterator[Multigraph]
                 yield Multigraph(n, edges)
 
 
-def _relabeling_classes(max_vertices: int) -> Iterator[tuple[Multigraph, list[int]]]:
+def _relabeling_classes(max_vertices: int) -> Iterator[tuple[Multigraph, int]]:
     """The connected simple graphs on 1..max_vertices vertices up to
-    isomorphism, each once, with its relabeling orbit.
+    isomorphism, each once, with its weight: the size of its relabeling
+    orbit, n!/|Aut G|.
 
     For each n the edge masks of K_n are taken in increasing order; the
     first one not yet seen represents its orbit, which is closed by a
     breadth-first search under the transpositions (0 i) and marked seen.
     These generate the symmetric group, so the orbit holds every labeled
-    graph isomorphic to the representative: n!/|Aut G| masks, the first
-    being the representative's. Yields (representative graph, orbit masks)
-    for the connected classes only.
+    graph isomorphic to the representative, whose mask is the orbit's
+    least. Yields (representative graph, weight) for the connected classes
+    only.
     """
     for n in range(1, max_vertices + 1):
         pairs = _vertex_pairs(n)
@@ -347,7 +347,7 @@ def _relabeling_classes(max_vertices: int) -> Iterator[tuple[Multigraph, list[in
         while rep >= 0:
             seen[rep] = 1
             orbit = [rep]
-            for m in orbit:  # grows as the search finds new members
+            for m in orbit:  # the search's queue: grows as it finds new members
                 lo, mid, hi = m & 255, m >> 8 & 255, m >> 16
                 for t0, t1, t2 in tables:
                     img = t0[lo] | t1[mid] | t2[hi]
@@ -356,7 +356,7 @@ def _relabeling_classes(max_vertices: int) -> Iterator[tuple[Multigraph, list[in
                         orbit.append(img)
             edges = _mask_edges(pairs, rep)
             if _connected(n, _adjacency(edges)):
-                yield Multigraph(n, edges), orbit
+                yield Multigraph(n, edges), len(orbit)
             rep = seen.find(0, rep)
 
 
@@ -367,8 +367,9 @@ def _relabeling_classes(max_vertices: int) -> Iterator[tuple[Multigraph, list[in
 @dataclass
 class SearchOutcome:
     """Result of scanning for pairs with coprime orders whose delta
-    configuration fails to generate. It is unknown whether such a pair can
-    exist; an empty counterexample list is a perfectly valid outcome."""
+    configuration fails to generate. No such pair exists (see
+    `coprime_pair_search`), so a search reports none; the counterexample
+    list is kept for the harness's consistency check."""
 
     examined: int
     coprime_instances: int
@@ -403,18 +404,17 @@ def coprime_pair_search(
 ) -> SearchOutcome:
     """Scan (graph, adjacent pair) instances for coprime-order pairs that do
     not generate. Exhaustive mode covers all labeled connected simple graphs
-    up to max_vertices (at most 7); otherwise `trials` seeded multigraph
-    samples, each with at most max_vertices vertices, which must be at most
-    200 (a sample draws for every vertex pair, and each graph is eliminated
-    densely), and up to max_extra_edges edge bumps, from 0 to 100,000;
-    `trials` must not be negative.
+    on 1 to max_vertices vertices (at most 7); otherwise `trials` seeded
+    multigraph samples, each with 2 to max_vertices vertices, where
+    max_vertices is at most 200 (a sample draws for every vertex pair, and
+    each graph is eliminated densely), and up to max_extra_edges edge bumps,
+    from 0 to 100,000; `trials` must not be negative.
 
     Exhaustive mode scans one graph per isomorphism class and weights its
     counts by the class's relabeling orbit, n!/|Aut G| labeled graphs, so
     its counts are those of the labeled enumeration; a random sample has
-    weight 1. A class whose representative reports a pair is scanned again
-    member by member, and the reports are ordered by n, edge mask and pair,
-    as `enumerate_connected_simple_graphs` yields the graphs.
+    weight 1. A report is (scanned graph, pair): in exhaustive mode the
+    graph is the class representative, the least edge mask of its orbit.
 
     No report is possible: F = b^T adj(L) b, with b = e_x - e_y, is an
     integer combination of the entries of adj(L) b, so gcd(det, adj(L) b)
@@ -434,32 +434,21 @@ def coprime_pair_search(
         "trials": trials,
         "exhaustive": exhaustive,
     }
-    units: Iterator[tuple[Multigraph, list[int] | None]]
+    units: Iterator[tuple[Multigraph, int]]
     if exhaustive:
         units = _relabeling_classes(max_vertices)
     else:
         # Samples are drawn as the scan reaches them; the scan takes nothing from rng.
         rng = random.Random(seed)
-        units = ((random_connected_multigraph(rng, max_vertices, max_extra_edges), None) for _ in range(trials))
+        units = ((random_connected_multigraph(rng, max_vertices, max_extra_edges), 1) for _ in range(trials))
     examined = 0
     coprime_count = 0
     counterexamples: list[tuple[Multigraph, tuple[int, int]]] = []
-    labeled: list[tuple[tuple[int, int, tuple[int, int]], Multigraph]] = []
-    for g, orbit in units:
-        weight = 1 if orbit is None else len(orbit)
+    for g, weight in units:
         edges, coprime, bad = _scan(g)
         examined += weight * edges
         coprime_count += weight * coprime
-        if bad and orbit is None:
-            counterexamples += [(g, pair) for pair in bad]
-        elif bad:
-            pairs = _vertex_pairs(g.n)
-            for mask in orbit:
-                h = Multigraph(g.n, _mask_edges(pairs, mask))
-                labeled += [((g.n, mask, pair), h) for pair in _scan(h)[2]]
-    if labeled:
-        labeled.sort(key=lambda report: report[0])
-        counterexamples = [(h, key[2]) for key, h in labeled]
+        counterexamples += [(g, pair) for pair in bad]
     return SearchOutcome(examined, coprime_count, counterexamples, seed, params)
 
 

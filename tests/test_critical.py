@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import deque
 from math import gcd, lcm, prod
 
@@ -244,6 +245,12 @@ def test_direct_sum_factors():
     p, q = 2**31 - 1, 2147483629  # both prime: trial division would not finish
     assert direct_sum_factors([6 * p * q], [4 * p]) == [2 * p, 12 * p * q]
     assert direct_sum_factors([p * q], [3]) == [3 * p * q]
+    assert direct_sum_factors([1, 1], [3]) == [3]  # trivial factors are dropped
+    for fs1, fs2, least in (([-2], [4], -2), ([0], [4], 0), ([4], [6, 0], 0), ([3, -1], [-5], -5)):
+        with pytest.raises(ValueError, match=f"invariant factor {least} is below 1"):
+            direct_sum_factors(fs1, fs2)
+    with pytest.raises(TypeError, match=re.escape("fs2[0] is 2.5, not an integer")):
+        direct_sum_factors([3], [2.5])
 
 
 def test_wedge_lemma():

@@ -11,6 +11,8 @@ from critgroups import (
     QuadraticNumber,
     add_path,
     alternating_tables,
+    brute_spanning_forests,
+    brute_spanning_trees,
     complete_graph,
     constant_k_table,
     critical_group,
@@ -269,6 +271,9 @@ def _stack_with_edge(ks, edge, mult):
     (lambda: QuadraticNumber(1, 1, 2.5), "discriminant is 2.5"),
     (lambda: constant_k_table(4.5, 3), "polygon size is 4.5"),
     (lambda: alternating_tables(3, 4.5, 2), "polygon size is 4.5"),
+    (lambda: delete_edges(cycle_graph(3), 0, 1, 1.0), "count is 1.0"),
+    (lambda: brute_spanning_trees(cycle_graph(3), 20.5), "limit is 20.5"),
+    (lambda: brute_spanning_forests(cycle_graph(3), 0, 1, 20.5), "limit is 20.5"),
 ])
 def test_non_integers_are_refused(build, message):
     """Every count, multiplicity, chip and matrix entry goes through

@@ -199,8 +199,8 @@ def test_coprime_pair_search_exhaustive_small(monkeypatch):
 
 def test_relabeling_classes():
     """One class per connected graph up to isomorphism (networkx's atlas
-    lists every graph on up to 7 vertices), and orbits that together hold
-    every labeled connected graph."""
+    lists every graph on up to 7 vertices), and orbit weights that together
+    count every labeled connected graph."""
     import critgroups.verify as verify
 
     nx = pytest.importorskip("networkx")
@@ -209,9 +209,9 @@ def test_relabeling_classes():
         if 1 <= h.number_of_nodes() <= 6 and nx.is_connected(h):
             atlas[h.number_of_nodes()] = atlas.get(h.number_of_nodes(), 0) + 1
     classes, labeled = {}, {}
-    for g, orbit in verify._relabeling_classes(6):
+    for g, weight in verify._relabeling_classes(6):
         classes[g.n] = classes.get(g.n, 0) + 1
-        labeled[g.n] = labeled.get(g.n, 0) + len(orbit)
+        labeled[g.n] = labeled.get(g.n, 0) + weight
     assert classes == atlas == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
     assert labeled == {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
 
@@ -219,17 +219,18 @@ def test_relabeling_classes():
 def test_exhaustive_reports_match_labeled_loop(monkeypatch):
     """With a generation predicate that fires, and that like the real one
     does not depend on the labels (the bracket b^T adj(L) b counts two-tree
-    forests), the class scan reports exactly what a scan of every labeled
-    graph reports, in the same order."""
+    forests), the class scan reports each class representative's pairs:
+    each report is one of a scan of every labeled graph, and the orbit
+    weights of the reports sum to that scan's report count. A random search
+    reports exactly what a direct scan of its seeded samples reports."""
     import critgroups.verify as verify
 
     def fake_generates(det, adj, x, y):
         return (adj[x][x] + adj[y][y] - 2 * adj[x][y]) % 3 != 0
 
-    monkeypatch.setattr(verify, "_delta_generates", fake_generates)
-    for max_vertices, reports in ((4, 12), (5, 312)):
-        examined, coprime, labeled = 0, 0, []
-        for g in enumerate_connected_simple_graphs(max_vertices):
+    def labeled_scan(graphs):
+        examined, coprime, reports = 0, 0, []
+        for g in graphs:
             det, adj = verify._adjugate(g)
             for (x, y), c in g.edge_items():
                 examined += 1
@@ -237,11 +238,23 @@ def test_exhaustive_reports_match_labeled_loop(monkeypatch):
                 if order_g1 > 0 and gcd(det, order_g1) == 1:
                     coprime += 1
                     if not fake_generates(det, adj, x, y):
-                        labeled.append((g.edge_items(), (x, y)))
+                        reports.append((g.edge_items(), (x, y)))
+        return examined, coprime, reports
+
+    monkeypatch.setattr(verify, "_delta_generates", fake_generates)
+    for max_vertices, reports in ((4, 12), (5, 312)):
+        examined, coprime, labeled = labeled_scan(enumerate_connected_simple_graphs(max_vertices))
         outcome = coprime_pair_search(max_vertices, exhaustive=True)
         assert (outcome.examined, outcome.coprime_instances) == (examined, coprime)
-        assert [(g.edge_items(), pair) for g, pair in outcome.counterexamples] == labeled
-        assert len(labeled) == reports
+        weights = {repr(g): w for g, w in verify._relabeling_classes(max_vertices)}
+        assert all((g.edge_items(), pair) in labeled for g, pair in outcome.counterexamples)
+        assert sum(weights[repr(g)] for g, _ in outcome.counterexamples) == len(labeled) == reports
+
+    rng = random.Random(3)
+    examined, coprime, sampled = labeled_scan(random_connected_multigraph(rng, 9, 2) for _ in range(80))
+    outcome = coprime_pair_search(9, 2, trials=80, seed=3)
+    assert (outcome.examined, outcome.coprime_instances) == (examined, coprime)
+    assert sampled and [(g.edge_items(), pair) for g, pair in outcome.counterexamples] == sampled
 
 
 def _forbid(monkeypatch, *names):
@@ -307,6 +320,8 @@ def test_enumerate_connected_simple_graphs():
     assert _digest(graphs) == "65d443961cfc4630455269a2e32cd903522f302576d41e3c9d09dd40868724e1"
     with pytest.raises(ValueError, match="max_vertices"):
         next(enumerate_connected_simple_graphs(8))
+    with pytest.raises(ValueError, match="max_vertices must be at least 1 for the labeled enumeration, got 0"):
+        next(enumerate_connected_simple_graphs(0))
 
 
 def test_random_connected_multigraph_seeded():
@@ -358,6 +373,8 @@ def test_sampler_checks_its_own_bounds():
         random_connected_multigraph(rng, 10**5, 0)
     with pytest.raises(ValueError, match="max_extra_edges must be from 0 to 100000 for the random search, got -1"):
         random_connected_multigraph(rng, 9, -1)
+    with pytest.raises(ValueError, match="max_vertices must be at least 2 for the random search, got 1"):
+        random_connected_multigraph(rng, 1, 0)
     assert rng.getstate() == state
 
 
