@@ -4,7 +4,7 @@ and polygon stacks."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import index
 
@@ -17,6 +17,14 @@ def _ints(values: Iterable, what: str) -> list[int]:
     except TypeError:
         k = next(k for k, x in enumerate(values) if not hasattr(type(x), "__index__"))
         raise TypeError(f"{what.format(k)} is {values[k]!r}, not an integer") from None
+
+
+def _int(value, what: str) -> int:
+    """One value as an int by operator.index: a float is refused, named by `what`."""
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{what} is {value!r}, not an integer") from None
 
 
 def _key(u: int, v: int) -> tuple[int, int]:
@@ -140,25 +148,35 @@ def _adjacency(edges: Mapping[tuple[int, int], int]) -> dict[int, dict[int, int]
     return adj
 
 
-def _connected(n: int, adj: Mapping[int, Mapping[int, int]]) -> bool:
-    """True iff every one of the n vertices is reachable from vertex 0 in
-    the adjacency `adj` (K_1 is connected)."""
+def _connected(n: int, edges: Collection[tuple[int, int]]) -> bool:
+    """True iff the edge keys (u, v) join the n vertices 0..n-1 into one
+    component (K_1 is connected), by union-find with path halving (Tarjan,
+    J. ACM 22, 1975). Fewer than n - 1 keys cannot span, so they are
+    refused before anything is allocated, and the scan stops once one
+    component is left."""
     if n <= 1:
         return True
-    if len(adj) < n:  # some vertex has no edges
+    if len(edges) < n - 1:
         return False
-    seen, stack = {0}, [0]
-    while stack:
-        for u in adj[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == n
+    parent = list(range(n))
+    left = n - 1  # merges still to make
+    for u, v in edges:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            left -= 1
+            if not left:
+                return True
+    return False
 
 
 def is_connected(g: Multigraph) -> bool:
-    """True iff every vertex is reachable from vertex 0 (K_1 is connected)."""
-    return _connected(g.n, g._adj or g._build_adj())
+    """True iff every vertex is reachable from vertex 0 (K_1 is connected),
+    decided on the graph's edge table, without its adjacency."""
+    return _connected(g.n, g._edges)
 
 
 def cycle_graph(m: int) -> Multigraph:
@@ -227,7 +245,7 @@ def _add_chain(edges: dict[tuple[int, int], int], chain: Sequence[int]) -> None:
 def delete_edges(g: Multigraph, x: int, y: int, count: int | None = None) -> Multigraph:
     """Remove `count` parallel edges between x and y (all of them when None)."""
     m = g.multiplicity(x, y)
-    count = m if count is None else _ints([count], "count")[0]
+    count = m if count is None else _int(count, "count")
     if not (0 <= count <= m):
         raise ValueError(f"cannot remove {count} edges from multiplicity {m}")
     edges = g.edge_dict()

@@ -275,10 +275,10 @@ def _laplacian(g, q: int) -> list[list[int]]:
         raise ValueError(f"vertex {q} out of range for n={g.n}")
     m = g.n - 1
     rows = [[0] * m for _ in range(m)]
-    for v in range(g.n):
+    for v, d in g._deg.items():  # a vertex with no edges keeps its 0
         if v != q:
             i = v - (v > q)
-            rows[i][i] = g.degree(v)
+            rows[i][i] = d
     for (u, v), mult in g._edges.items():  # in any order: the rows do not depend on it
         if q not in (u, v):
             i, j = u - (u > q), v - (v > q)

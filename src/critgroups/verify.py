@@ -33,32 +33,13 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, gcd, lcm, prod
+from operator import sub
 from typing import Iterator
 
 from .critical import delta_config, reduced_laplacian
-from .graphs import Multigraph, _adjacency, _connected, _ints, _key, add_path, delete_edges, is_connected
+from .graphs import Multigraph, _connected, _int, _key, add_path, delete_edges, is_connected
 from . import linalg
 from .linalg import _laplacian, smith_normal_form
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge; False when a and b were already joined (cycle)."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
 
 
 MAX_SUBSETS = 10**6
@@ -67,7 +48,7 @@ MAX_SUBSETS = 10**6
 def _edge_instances(g: Multigraph, limit: int, size: int) -> list[tuple[int, int]]:
     """Edges of a connected g, parallel ones repeated: at most `limit` of
     them, and at most MAX_SUBSETS subsets of `size` of them to enumerate."""
-    limit = _ints([limit], "limit")[0]
+    limit = _int(limit, "limit")
     if not is_connected(g):
         raise ValueError("graph must be connected")
     out = [e for e, m in g.edge_items() for _ in range(m)]
@@ -83,32 +64,24 @@ def brute_spanning_trees(g: Multigraph, limit: int = 20) -> int:
     """Count spanning trees by enumerating edge-instance subsets.
 
     Parallel edges count as distinct instances, matching the matrix-tree
-    determinant. Refuses graphs with more than `limit` edge instances, or
-    more than MAX_SUBSETS (10^6) subsets of n - 1 of them.
+    determinant. n - 1 edges form a spanning tree iff they connect the
+    graph. Refuses graphs with more than `limit` edge instances, or more
+    than MAX_SUBSETS (10^6) subsets of n - 1 of them.
     """
     instances = _edge_instances(g, limit, g.n - 1)
-    count = 0
-    for subset in combinations(instances, g.n - 1):
-        uf = _UnionFind(g.n)
-        if all(uf.union(u, v) for u, v in subset):
-            count += 1
-    return count
+    return sum(_connected(g.n, subset) for subset in combinations(instances, g.n - 1))
 
 
 def brute_spanning_forests(g: Multigraph, x: int, y: int, limit: int = 20) -> int:
     """Count two-tree spanning forests separating roots x and y, with the
-    same refusals as `brute_spanning_trees` for subsets of n - 2 edges."""
+    same refusals as `brute_spanning_trees` for subsets of n - 2 edges:
+    such a forest plus an x-y edge is a spanning tree."""
     instances = _edge_instances(g, limit, g.n - 2)
     if x == y:
         raise ValueError("roots must be distinct")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError(f"roots ({x},{y}) out of range for n={g.n}")
-    count = 0
-    for subset in combinations(instances, g.n - 2):
-        uf = _UnionFind(g.n)
-        if all(uf.union(u, v) for u, v in subset) and uf.find(x) != uf.find(y):
-            count += 1
-    return count
+    return sum(_connected(g.n, (*subset, (x, y))) for subset in combinations(instances, g.n - 2))
 
 
 # ----------------------------------------------------------------------------
@@ -149,7 +122,11 @@ def _adjugate(g: Multigraph) -> tuple[int, list[list[int]]]:
     symmetric elimination of L's rows, and a zero row and column are added
     at q. Callers refuse a disconnected g, whose dense rows are not built."""
     det, tri, symmetric = linalg._eliminate(_laplacian(g, g.n - 1))
-    return det, [row + [0] for row in linalg._adjugate(tri, symmetric)] + [[0] * g.n]
+    adj = linalg._adjugate(tri, symmetric)
+    for row in adj:
+        row.append(0)
+    adj.append([0] * g.n)
+    return det, adj
 
 
 def _deletion_count(det: int, adj: list[list[int]], x: int, y: int, c: int) -> int:
@@ -167,8 +144,9 @@ def _deletion_count(det: int, adj: list[list[int]], x: int, y: int, c: int) -> i
 def _delta_generates(det: int, adj: list[list[int]], x: int, y: int) -> bool:
     """delta(x, y) has order det / gcd(det, adj(L) b) with b = e_x - e_y,
     the least k with k b in the column span of L, so it generates the
-    critical group iff that gcd is 1."""
-    return gcd(det, *(row[x] - row[y] for row in adj)) == 1
+    critical group iff that gcd is 1. adj L is symmetric, so adj(L) b is
+    row x minus row y."""
+    return gcd(det, *map(sub, adj[x], adj[y])) == 1
 
 
 def _is_cyclic(adj: list[list[int]]) -> bool:
@@ -247,14 +225,18 @@ MAX_SAMPLE_VERTICES = 200
 MAX_SAMPLE_EXTRA_EDGES = 100_000  # one random pair is drawn for each
 
 
-def _check_sample_bounds(max_vertices: int, max_extra_edges: int) -> None:
-    """Refuse sampling parameters outside the random search's bounds."""
+def _check_sample_bounds(max_vertices: int, max_extra_edges: int) -> tuple[int, int]:
+    """The sampling parameters as ints; refuse a non-integer, by name, or a
+    value outside the random search's bounds."""
+    max_vertices = _int(max_vertices, "max_vertices")
+    max_extra_edges = _int(max_extra_edges, "max_extra_edges")
     if not 2 <= max_vertices <= MAX_SAMPLE_VERTICES:
         bound = "at least 2" if max_vertices < 2 else f"at most {MAX_SAMPLE_VERTICES}"
         raise ValueError(f"max_vertices must be {bound} for the random search, got {max_vertices}")
     if not 0 <= max_extra_edges <= MAX_SAMPLE_EXTRA_EDGES:
         raise ValueError(f"max_extra_edges must be from 0 to {MAX_SAMPLE_EXTRA_EDGES} for the random search, "
                          f"got {max_extra_edges}")
+    return max_vertices, max_extra_edges
 
 
 def random_connected_multigraph(rng: random.Random, max_vertices: int, max_extra_edges: int) -> Multigraph:
@@ -262,13 +244,13 @@ def random_connected_multigraph(rng: random.Random, max_vertices: int, max_extra
     decided on the drawn edge table, then up to max_extra_edges multiplicity
     bumps on random vertex pairs; one graph is built. The random search's
     bounds (2 to 200 vertices, 0 to 100,000 bumps) are checked before any draw."""
-    _check_sample_bounds(max_vertices, max_extra_edges)
+    max_vertices, max_extra_edges = _check_sample_bounds(max_vertices, max_extra_edges)
     n = rng.randint(2, max_vertices)
     pairs = _vertex_pairs(n)
     while True:
         p = rng.uniform(0.3, 0.9)
         edges = {pair: 1 for pair in pairs if rng.random() < p}
-        if _connected(n, _adjacency(edges)):
+        if _connected(n, edges):
             break
     for _ in range(rng.randint(0, max_extra_edges)):
         u, v = rng.sample(range(n), 2)
@@ -277,16 +259,19 @@ def random_connected_multigraph(rng: random.Random, max_vertices: int, max_extra
     return Multigraph(n, edges)
 
 
-def _check_labeled_bound(max_vertices: int) -> None:
-    """Refuse an exhaustive search or enumeration below 1 or above 7 vertices."""
+def _check_labeled_bound(max_vertices: int) -> int:
+    """max_vertices as an int; refuse a non-integer, by name, or an
+    exhaustive search or enumeration below 1 or above 7 vertices."""
+    max_vertices = _int(max_vertices, "max_vertices")
     if not 1 <= max_vertices <= 7:
         bound = "at least 1" if max_vertices < 1 else "at most 7"
         raise ValueError(f"max_vertices must be {bound} for the labeled enumeration, got {max_vertices}")
+    return max_vertices
 
 
 def _vertex_pairs(n: int) -> list[tuple[int, int]]:
     """The pairs of K_n in lexicographic order: bit i of an edge mask is pair i."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return list(combinations(range(n), 2))
 
 
 def _mask_edges(pairs: list[tuple[int, int]], mask: int) -> dict[tuple[int, int], int]:
@@ -301,12 +286,12 @@ def enumerate_connected_simple_graphs(max_vertices: int) -> Iterator[Multigraph]
     ones are built. Refuses max_vertices below 1 or above 7: 7 vertices
     already means 2^21 edge masks, and 8 would take days.
     """
-    _check_labeled_bound(max_vertices)
+    max_vertices = _check_labeled_bound(max_vertices)
     for n in range(1, max_vertices + 1):
         pairs = _vertex_pairs(n)
         for mask in range(1 << len(pairs)):
             edges = _mask_edges(pairs, mask)
-            if _connected(n, _adjacency(edges)):
+            if _connected(n, edges):
                 yield Multigraph(n, edges)
 
 
@@ -326,18 +311,20 @@ def _relabeling_classes(max_vertices: int) -> Iterator[tuple[Multigraph, int]]:
     for n in range(1, max_vertices + 1):
         pairs = _vertex_pairs(n)
         index = {p: i for i, p in enumerate(pairs)}
-        # A transposition permutes the mask's bits; three byte tables per
+        # A transposition permutes the mask's bits; three tables per
         # transposition map each byte of a mask (at most 21 bits, as n <= 7)
-        # to its image.
+        # to its image. Each has one entry per value its byte can take, so
+        # the bytes past the mask's bits get the one-entry table [0].
+        bits = len(pairs)
         tables = []
         for i in range(1, n):
             swap = {0: i, i: 0}
             image = [1 << index[_key(swap.get(u, u), swap.get(v, v))] for u, v in pairs]
-            image += [0] * (24 - len(image))
             per_byte = []
             for b in range(0, 24, 8):
-                table = [0] * 256
-                for val in range(1, 256):
+                size = 1 << min(8, max(0, bits - b))
+                table = [0] * size
+                for val in range(1, size):
                     low = val & -val
                     table[val] = table[val ^ low] | image[b + low.bit_length() - 1]
                 per_byte.append(table)
@@ -355,7 +342,7 @@ def _relabeling_classes(max_vertices: int) -> Iterator[tuple[Multigraph, int]]:
                         seen[img] = 1
                         orbit.append(img)
             edges = _mask_edges(pairs, rep)
-            if _connected(n, _adjacency(edges)):
+            if _connected(n, edges):
                 yield Multigraph(n, edges), len(orbit)
             rep = seen.find(0, rep)
 
@@ -408,7 +395,8 @@ def coprime_pair_search(
     multigraph samples, each with 2 to max_vertices vertices, where
     max_vertices is at most 200 (a sample draws for every vertex pair, and
     each graph is eliminated densely), and up to max_extra_edges edge bumps,
-    from 0 to 100,000; `trials` must not be negative.
+    from 0 to 100,000; `trials` must not be negative. A count that is not
+    an integer, such as a float, is refused with a TypeError that names it.
 
     Exhaustive mode scans one graph per isomorphism class and weights its
     counts by the class's relabeling orbit, n!/|Aut G| labeled graphs, so
@@ -423,9 +411,10 @@ def coprime_pair_search(
     consistency check.
     """
     if exhaustive:
-        _check_labeled_bound(max_vertices)
+        max_vertices = _check_labeled_bound(max_vertices)
     else:
-        _check_sample_bounds(max_vertices, max_extra_edges)
+        max_vertices, max_extra_edges = _check_sample_bounds(max_vertices, max_extra_edges)
+        trials = _int(trials, "trials")
         if trials < 0:
             raise ValueError(f"trials must be nonnegative for the random search, got {trials}")
     params = {

@@ -170,6 +170,42 @@ def test_is_connected():
     assert is_connected(Multigraph(1))
 
 
+def test_connected_matches_networkx():
+    """Union-find connectivity on an edge table against networkx, on seeded
+    tables with n from 1 to 12: random subsets of K_n's pairs of every size,
+    and random trees before and after one key is moved. So tables with no
+    edges, with isolated vertices, with several components and none
+    isolated, and with exactly n - 1 keys, spanning or not, all occur."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    kinds = set()
+    for n in range(1, 13):
+        pairs = list(itertools.combinations(range(n), 2))
+        tables = [rng.sample(pairs, rng.randint(0, len(pairs))) for _ in range(40)]
+        for _ in range(10):
+            label = rng.sample(range(n), n)
+            tree = [graphs._key(label[v], label[rng.randrange(v)]) for v in range(1, n)]
+            tables.append(tree)
+            if tree:
+                tree = tree[1:] + [rng.choice(pairs)]
+                tables.append(list(dict.fromkeys(tree)))
+        for keys in tables:
+            table = dict.fromkeys(keys, 1)
+            h = nx.Graph(list(table))
+            h.add_nodes_from(range(n))
+            want = nx.is_connected(h)
+            assert graphs._connected(n, table) is want
+            assert is_connected(Multigraph(n, table)) is want
+            components = nx.number_connected_components(h)
+            isolated = any(d == 0 for _, d in h.degree())
+            kinds.add("empty" if not table and n > 1 else
+                      "isolated" if isolated else
+                      "components" if components > 1 else "connected")
+            if n > 1 and len(table) == n - 1:
+                kinds.add(("n - 1 keys", want))
+    assert kinds == {"empty", "isolated", "components", "connected", ("n - 1 keys", True), ("n - 1 keys", False)}
+
+
 def test_add_path_preserves_connectivity():
     rng = random.Random(3)
     from critgroups import random_connected_multigraph
@@ -229,7 +265,8 @@ def test_storage_grows_with_edges_not_n():
 
 def test_adjacency_is_built_once_on_first_use(monkeypatch):
     """The constructor fills the edge table and the degrees only;
-    is_connected walks the graph's own adjacency, built on first use."""
+    is_connected reads the edge table, and neighbors builds the adjacency
+    on first use, once."""
     calls = []
     build = graphs._adjacency
     monkeypatch.setattr(graphs, "_adjacency", lambda edges: calls.append(edges) or build(edges))

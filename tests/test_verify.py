@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 from math import gcd
 
@@ -216,6 +217,27 @@ def test_relabeling_classes():
     assert labeled == {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
 
 
+def test_relabeling_classes_are_pinned():
+    """The class walk's output up to 6 vertices, representatives and
+    weights in yield order, as a digest of (repr(representative), weight)."""
+    import critgroups.verify as verify
+
+    classes = [(repr(g), w) for g, w in verify._relabeling_classes(6)]
+    assert len(classes) == 143
+    digest = hashlib.sha256(repr(classes).encode()).hexdigest()
+    assert digest == "6f9fc984c4c2aef35a29df5f362c46004200d79e85725853779b1f7611cf0f7d"
+
+
+def test_vertex_pairs_are_the_mask_bits():
+    """Bit i of an edge mask stands for pair i of K_n, in lexicographic order."""
+    import critgroups.verify as verify
+
+    for n in range(9):
+        pairs = verify._vertex_pairs(n)
+        assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert all(verify._mask_edges(pairs, 1 << i) == {p: 1} for i, p in enumerate(pairs))
+
+
 def test_exhaustive_reports_match_labeled_loop(monkeypatch):
     """With a generation predicate that fires, and that like the real one
     does not depend on the labels (the bracket b^T adj(L) b counts two-tree
@@ -376,6 +398,17 @@ def test_sampler_checks_its_own_bounds():
     with pytest.raises(ValueError, match="max_vertices must be at least 2 for the random search, got 1"):
         random_connected_multigraph(rng, 1, 0)
     assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"max_vertices": 9.0, "trials": 3}, "max_vertices is 9.0"),
+    ({"max_vertices": 4.0, "exhaustive": True}, "max_vertices is 4.0"),
+    ({"max_vertices": 5, "trials": 2.5}, "trials is 2.5"),
+    ({"max_vertices": 5, "max_extra_edges": 1.5, "trials": 2}, "max_extra_edges is 1.5"),
+], ids=["max_vertices", "max_vertices-exhaustive", "trials", "max_extra_edges"])
+def test_search_refuses_float_counts(kwargs, name):
+    with pytest.raises(TypeError, match=f"^{re.escape(name)}, not an integer$"):
+        coprime_pair_search(**kwargs)
 
 
 def _connected_multigraphs():
