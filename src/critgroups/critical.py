@@ -42,7 +42,7 @@ from random import Random
 from typing import Iterable, Sequence
 
 from .graphs import Multigraph, _ints, is_connected
-from .linalg import IntMatrix, _factor_laplacian, _laplacian, _smith_mod, smith_rows_mod
+from .linalg import IntMatrix, _factor_laplacian, _laplacian, _least_t, _smith_mod, smith_rows_mod
 
 # Most columns of the certificate in `critical_group`. The image of K under
 # j seeded columns is all of K when, for each prime p of |K|, the columns
@@ -127,7 +127,7 @@ def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
             u = [x % order for x in solve(b)]
             cols.append(u)
             if (k := gcd(h, *u)) < h:
-                comb, h, factors = _fold(order, comb, u, k), k, None
+                comb, h, factors = _fold(order, comb, u), k, None
                 if h == 1:
                     factors, rows = [order], [comb]
                     break
@@ -153,14 +153,12 @@ def _certificate_columns(n: int) -> list[bytes]:
     return [bytes(n - 1) + b"\1"] + [data[i:i + n] for i in range(0, len(data), n)]
 
 
-def _fold(d: int, c: list[int], u: list[int], k: int) -> list[int]:
-    """c + t u mod d for the least t >= 1 with gcd(d, c + t u) = k, where
-    k = gcd(d, c, u) < gcd(d, c). Such a t exists: for each prime p of d/k,
-    the vectors c/p^e and u/p^e mod p, e the exponent of p in k, are not
-    both 0, so c + t u loses p in its gcd with d for at most one t mod p."""
-    t = 1
-    while gcd(d, *(x + t * y for x, y in zip(c, u))) != k:
-        t += 1
+def _fold(d: int, c: list[int], u: list[int]) -> list[int]:
+    """c + t u mod d for the least t with gcd(d, c + t u) = k = gcd(d, c, u),
+    by `linalg._least_t`; t >= 1, as k < gcd(d, c). Such a t exists: for each
+    prime p of d/k, the vectors c/p^e and u/p^e mod p, e the exponent of p in
+    k, are not both 0, so c + t u loses p in its gcd with d for at most one t mod p."""
+    t = _least_t(d, c, u)
     return [(x + t * y) % d for x, y in zip(c, u)]
 
 

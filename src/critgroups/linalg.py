@@ -440,6 +440,18 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     return SnfDecomposition(IntMatrix.from_rows(U), d, IntMatrix.from_rows(V))
 
 
+def _least_t(D: int, a: Sequence[int], b: Sequence[int]) -> int:
+    """The least t >= 0 with gcd(D, a + t b) = gcd(D, a, b), for vectors a
+    and b. Each prime p of D rules out at most one t mod p (`critical._fold`
+    shows why), so by Jacobsthal's function the least t is far below
+    D.bit_length()^2, past which ArithmeticError is raised."""
+    h = gcd(D, *a, *b)
+    for t in range(D.bit_length() ** 2):
+        if gcd(D, *[x + t * y for x, y in zip(a, b)]) == h:
+            return t
+    raise ArithmeticError("no t folds the gcd down to gcd(D, a, b)")
+
+
 def _smith_mod(rows: Iterable[Sequence[int]], D: int) -> tuple[list[tuple[int, int]], Callable[[int], list[int]]]:
     """Smith form of Z^n modulo the lattice spanned by the columns of an
     n x m matrix, given as its rows, and D Z^n, for D > 0: every pivot as
@@ -461,8 +473,8 @@ def _smith_mod(rows: Iterable[Sequence[int]], D: int) -> tuple[list[tuple[int, i
     (y/g) (x/g)^-1 mod D/g, clears every y under x, and s = g; the pivot
     row is dropped, as g divides it and column steps would touch only it.
     If no entry has gcd g, column 0 += t column j, not recorded, and then
-    row 0 += t row k fold the block into x, each with the least t >= 0
-    that takes the gcd down to gcd(D, both), which exists by CRT. Row
+    row 0 += t row k fold the block into x, each with the t of `_least_t`,
+    which takes the gcd down to gcd(D, both). Row
     operations are logged instead of applied to U, so a caller pays only
     for the rows it asks for: `u_row` replays the log backwards.
     """
@@ -472,15 +484,6 @@ def _smith_mod(rows: Iterable[Sequence[int]], D: int) -> tuple[list[tuple[int, i
     log: list[tuple[int, list[int], list[int]]] = []  # by label, (src, dsts, cs): row dsts[k] += cs[k] * row src
     pivots: list[tuple[int, int]] = []
     g = 1  # gcd(D, block), which divides every later entry
-
-    def least_t(a: list[int], b: list[int]) -> int:
-        # the least t >= 0 with gcd(D, a + t b) = gcd(D, a, b), for vectors a, b; it avoids one
-        # class mod each prime of D, so by Jacobsthal's function it is far below the bound
-        h = gcd(D, *a, *b)
-        for t in range(D.bit_length() ** 2):
-            if gcd(D, *[x + t * y for x, y in zip(a, b)]) == h:
-                return t
-        raise ArithmeticError("no t folds the gcd down to gcd(D, a, b)")
 
     while rows:
         j, fold = 0, False  # while g may be 1, a unit in column 0 first
@@ -505,11 +508,11 @@ def _smith_mod(rows: Iterable[Sequence[int]], D: int) -> tuple[list[tuple[int, i
         top = rows[0]
         if fold:  # gcd(D, column 0) = g, and then gcd(D, top[0]) = g
             for j in range(1, len(top)):
-                if t := least_t([r[0] for r in rows], [r[j] for r in rows]):
+                if t := _least_t(D, [r[0] for r in rows], [r[j] for r in rows]):
                     for r in rows:
                         r[0] = (r[0] + t * r[j]) % D
             for k in range(1, len(rows)):
-                if t := least_t([top[0]], [rows[k][0]]):
+                if t := _least_t(D, [top[0]], [rows[k][0]]):
                     top[:] = [(x + t * y) % D for x, y in zip(top, rows[k])]
                     log.append((labels[k], [labels[0]], [t]))
         x, Dg = top[0], D // g

@@ -163,33 +163,26 @@ def constant_k_table(k: int, n_max: int) -> SequenceTable:
 
 
 def constant_k_closed_form(k: int, n: int) -> int:
-    """Closed form for the constant-k tree counts, evaluated exactly with
-    sqrt(k^2 - 4); the irrational parts cancel and an integer comes out."""
+    """Closed form for the constant-k tree counts: with d = k^2 - 4 and one
+    exact power (k + sqrt(d))^n = a + b sqrt(d), the irrational parts of its
+    two terms cancel and they sum to (a + k b) / 2^n, checked to be an integer."""
     if k < 3:
         raise ValueError("closed form needs k >= 3 (k = 2 degenerates the discriminant)")
     if n < 0:
         raise ValueError("n must be nonnegative")
     d = k * k - 4
-    alpha = QuadraticNumber(Fraction(k, 2), Fraction(1, 2), d)   # (k + sqrt(d)) / 2
-    beta = QuadraticNumber(Fraction(k, 2), Fraction(-1, 2), d)
-    k_over_sqrt = QuadraticNumber(0, Fraction(k, d), d)          # k/sqrt(d) = k*sqrt(d)/d
-    one = QuadraticNumber(1, 0, d)
-    total = (one + k_over_sqrt) * alpha ** n + (one - k_over_sqrt) * beta ** n
-    return (total * Fraction(1, 2)).as_integer()
+    p = QuadraticNumber(k, 1, d) ** n
+    return QuadraticNumber((p.a + k * p.b) / 2 ** n, 0, d).as_integer()
 
 
 def house_closed_form(n: int) -> int:
-    """Tree counts of the n-story house (3,4,4,...): T_0 = 3, T_1 = 11."""
+    """Tree counts of the n-story house (3,4,4,...): T_0 = 3, T_1 = 11. With
+    one exact power (2 + sqrt(3))^n = a + b sqrt(3), the two terms of the
+    closed form sum to 3a + 5b, checked to be an integer."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    d = 3
-    front = QuadraticNumber(0, Fraction(1, 6), d)  # 1/(2*sqrt(3)) = sqrt(3)/6
-    plus = QuadraticNumber(5, 3, d)   # 3*sqrt(3) + 5
-    minus = QuadraticNumber(-5, 3, d)  # 3*sqrt(3) - 5
-    grow = QuadraticNumber(2, 1, d)
-    shrink = QuadraticNumber(2, -1, d)
-    value = front * (plus * grow ** n + minus * shrink ** n)
-    return value.as_integer()
+    p = QuadraticNumber(2, 1, 3) ** n
+    return QuadraticNumber(3 * p.a + 5 * p.b, 0, 3).as_integer()
 
 
 def alternating_tables(k1: int, k2: int, n_max: int) -> tuple[SequenceTable, SequenceTable]:

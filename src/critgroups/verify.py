@@ -180,6 +180,10 @@ def lorenzini_check(g: Multigraph, x: int, y: int) -> LorenziniReport:
 
 @dataclass
 class ChainCheck:
+    """One path edge of G' deleted. That leaves G with pendant trees, so
+    order_g1_prime is |K(G)|, and coprime_with_g1 restates the hypothesis
+    that |K(G)| and |K(G_1)| are coprime."""
+
     pair: tuple[int, int]
     order_g1_prime: int
     coprime_with_g1: bool
@@ -311,33 +315,28 @@ def _relabeling_classes(max_vertices: int) -> Iterator[tuple[Multigraph, int]]:
     for n in range(1, max_vertices + 1):
         pairs = _vertex_pairs(n)
         index = {p: i for i, p in enumerate(pairs)}
-        # A transposition permutes the mask's bits; three tables per
-        # transposition map each byte of a mask (at most 21 bits, as n <= 7)
-        # to its image. Each has one entry per value its byte can take, so
-        # the bytes past the mask's bits get the one-entry table [0].
-        bits = len(pairs)
+        # A transposition permutes the mask's bits; two tables per transposition
+        # map the low h bits of a mask and the bits above them to their images.
+        h = (len(pairs) + 1) // 2
         tables = []
         for i in range(1, n):
             swap = {0: i, i: 0}
             image = [1 << index[_key(swap.get(u, u), swap.get(v, v))] for u, v in pairs]
-            per_byte = []
-            for b in range(0, 24, 8):
-                size = 1 << min(8, max(0, bits - b))
-                table = [0] * size
-                for val in range(1, size):
+            tables.append([[0] * (1 << h), [0] * (1 << (len(pairs) - h))])
+            for b, table in zip((0, h), tables[-1]):
+                for val in range(1, len(table)):
                     low = val & -val
                     table[val] = table[val ^ low] | image[b + low.bit_length() - 1]
-                per_byte.append(table)
-            tables.append(per_byte)
+        low_bits = (1 << h) - 1
         seen = bytearray(1 << len(pairs))
         rep = seen.find(0)
         while rep >= 0:
             seen[rep] = 1
             orbit = [rep]
             for m in orbit:  # the search's queue: grows as it finds new members
-                lo, mid, hi = m & 255, m >> 8 & 255, m >> 16
-                for t0, t1, t2 in tables:
-                    img = t0[lo] | t1[mid] | t2[hi]
+                lo, hi = m & low_bits, m >> h
+                for t0, t1 in tables:
+                    img = t0[lo] | t1[hi]
                     if not seen[img]:
                         seen[img] = 1
                         orbit.append(img)
@@ -397,6 +396,8 @@ def coprime_pair_search(
     each graph is eliminated densely), and up to max_extra_edges edge bumps,
     from 0 to 100,000; `trials` must not be negative. A count that is not
     an integer, such as a float, is refused with a TypeError that names it.
+    Exhaustive mode draws nothing, so it refuses a nonzero max_extra_edges
+    or trials, or a seed, with a ValueError that names them.
 
     Exhaustive mode scans one graph per isomorphism class and weights its
     counts by the class's relabeling orbit, n!/|Aut G| labeled graphs, so
@@ -412,6 +413,9 @@ def coprime_pair_search(
     """
     if exhaustive:
         max_vertices = _check_labeled_bound(max_vertices)
+        if max_extra_edges or trials or seed is not None:
+            raise ValueError(f"an exhaustive search draws no samples, so it takes no max_extra_edges, trials "
+                             f"or seed; got {max_extra_edges!r}, {trials!r} and {seed!r}")
     else:
         max_vertices, max_extra_edges = _check_sample_bounds(max_vertices, max_extra_edges)
         trials = _int(trials, "trials")

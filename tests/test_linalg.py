@@ -505,7 +505,7 @@ def test_modular_smith_matches_reference(monkeypatch):
 
     Small blocks mix the kinds of pivot, and `steps` shows the path each
     takes: a fold step is a nonzero t returned by the fold's search
-    `least_t`, seen by a profile hook; pow(x, -1, D) inverts a unit pivot
+    `_least_t`, seen by a profile hook; pow(x, -1, D) inverts a unit pivot
     x, pow(x/g, -1, D/g) a non-unit one, and a pivot x equal to g needs
     no pow."""
     rng = random.Random(97)
@@ -558,7 +558,7 @@ def test_modular_smith_matches_reference(monkeypatch):
             return pow(x, e, m)
 
         def hook(frame, event, t):
-            if event == "return" and frame.f_code.co_name == "least_t" and t:
+            if event == "return" and frame.f_code.co_name == "_least_t" and t:
                 events.append("fold")
 
         with monkeypatch.context() as m:

@@ -82,9 +82,9 @@ def test_constant_k_table_matches_stacks():
 
 
 def test_constant_k_closed_form():
-    for k in (3, 4, 5, 6):
-        table = constant_k_table(k, 20)
-        for n in range(21):
+    for k in range(3, 9):
+        table = constant_k_table(k, 300)
+        for n in range(301):
             assert constant_k_closed_form(k, n) == table.values[n]
     assert constant_k_closed_form(7, 0) == 1
     assert constant_k_closed_form(7, 1) == 7
@@ -96,9 +96,9 @@ def test_house_closed_form():
     assert house_closed_form(0) == 3
     assert house_closed_form(1) == 11
     assert house_closed_form(2) == 41
-    # matches the 4T - T recurrence seeded (3, 11) out to n = 20
+    # matches the 4T - T recurrence seeded (3, 11) out to n = 300
     prev2, prev = 3, 11
-    for n in range(2, 21):
+    for n in range(2, 301):
         prev2, prev = prev, 4 * prev - prev2
         assert house_closed_form(n) == prev
     # and the n-story house is the stack (3, 4, ..., 4)

@@ -152,6 +152,32 @@ def test_lorenzini_path_check():
         lorenzini_path_check(cycle_graph(2), 0, 1, 2)
 
 
+def test_lorenzini_path_orders_match_tree_identities():
+    """Chain orders against identities that hold for G and G', read off two
+    separate eliminations. Deleting one path edge of G' leaves G with
+    pendant trees, so each chain order is |K(G)|. A spanning tree of G'
+    either misses one of the l path edges and holds a spanning tree of G,
+    or holds the whole path and a two-tree forest of G separating x and y,
+    whose count is (|K(G)| - |K(G_1)|) / c by the deletion formula; so
+    |K(G')| = l |K(G)| + (|K(G)| - |K(G_1)|) / c."""
+    graphs = list(enumerate_connected_simple_graphs(4))
+    graphs += [random_connected_multigraph(random.Random(i), 8, 4) for i in range(100)]
+    reports = 0
+    for g in graphs:
+        for (x, y), c in g.edge_items():
+            if not lorenzini_check(g, x, y).coprime:
+                continue
+            for length in (1, 2, 3):
+                rep = lorenzini_path_check(g, x, y, length)
+                order_g, order_g1 = rep.base.order_g, rep.base.order_g1
+                assert [check.order_g1_prime for check in rep.chain] == [order_g] * length
+                assert (order_g - order_g1) % c == 0
+                assert rep.order_g_prime == length * order_g + (order_g - order_g1) // c
+                assert all(check.coprime_with_g1 for check in rep.chain)
+                reports += 1
+    assert reports > 900
+
+
 def test_coprime_pair_search_determinism():
     a = coprime_pair_search(5, 2, trials=25, seed=7)
     b = coprime_pair_search(5, 2, trials=25, seed=7)
@@ -409,6 +435,19 @@ def test_sampler_checks_its_own_bounds():
 def test_search_refuses_float_counts(kwargs, name):
     with pytest.raises(TypeError, match=f"^{re.escape(name)}, not an integer$"):
         coprime_pair_search(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, values", [
+    ({"max_extra_edges": 1.5, "trials": -3, "seed": 9}, "1.5, -3 and 9"),
+    ({"trials": 2}, "0, 2 and None"),
+    ({"seed": 0}, "0, 0 and 0"),
+], ids=["all-three", "trials", "seed-zero"])
+def test_exhaustive_search_refuses_sample_parameters(kwargs, values):
+    """An exhaustive search draws no samples, so a nonzero max_extra_edges
+    or trials, or any seed, 0 included, is refused, naming all three."""
+    with pytest.raises(ValueError, match="takes no max_extra_edges, trials or seed; got "
+                                         f"{re.escape(values)}$"):
+        coprime_pair_search(4, exhaustive=True, **kwargs)
 
 
 def _connected_multigraphs():
