@@ -71,7 +71,9 @@ from .verify import (
 MAX_ELIMINATION_VERTICES = 150
 # Stacks of the commands that do not eliminate build in linear time, but a
 # reduction's chip counts grow by about two bits per level, so `reduce --log`
-# prints quadratically many digits: 0.6 MB in 22 ms for 2,000 vertices.
+# prints quadratically many digits: 0.6 MB in 22 ms for 2,000 vertices. It
+# also bounds lorenzini --path-len, which eliminates only G and prints one
+# chain line per path edge: 0.64 MB for 2,000 edges on a 150-vertex graph.
 MAX_STACK_VERTICES = 2000
 # seq --n: the closed form takes 0.6 s for n = 2,000 (2-vCPU host), and the
 # output grows quadratically in n (--const 4 --n 20000 prints 114 MB).
@@ -145,6 +147,8 @@ def _inputs(args) -> Inputs:
         return Inputs()
     if args.command == "search":
         return Inputs()
+    if (getattr(args, "path_len", None) or 0) > MAX_STACK_VERTICES:
+        raise ValueError(f"--path-len must be at most {MAX_STACK_VERTICES}, got {args.path_len}")
     dot = getattr(args, "dot", False)
     eliminates = args.command in ELIMINATING and not dot
     cap = MAX_ELIMINATION_VERTICES if eliminates else MAX_STACK_VERTICES
@@ -159,8 +163,6 @@ def _inputs(args) -> Inputs:
         g = _read_graph(args.graph)
         if eliminates or dot:
             _check_size(f"graph {args.graph}", g.n, cap, args.command)
-    if eliminates and getattr(args, "path_len", None):
-        _check_size(f"G' of --path-len {args.path_len}", g.n + args.path_len - 1, cap, args.command)
     return Inputs(g, stack, tuple(parse_configuration(c) for c in getattr(args, "config", None) or ()))
 
 
@@ -387,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-x", type=int, required=True)
     p.add_argument("-y", type=int, required=True)
     p.add_argument("--path-len", type=int,
-                   help="also verify the added-path conclusion; the graph with the path added "
-                        f"has n + path-len - 1 vertices, at most {MAX_ELIMINATION_VERTICES}")
+                   help="also verify the added-path conclusion for a path of this many edges, "
+                        f"at most {MAX_STACK_VERTICES}; it prints one chain line per edge")
     p.set_defaults(func=cmd_lorenzini)
 
     p = sub.add_parser("search", help="scan for generating-pair counterexamples")

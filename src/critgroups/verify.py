@@ -37,7 +37,7 @@ from operator import sub
 from typing import Iterator
 
 from .critical import delta_config, reduced_laplacian
-from .graphs import Multigraph, _connected, _int, _key, add_path, delete_edges, is_connected
+from .graphs import Multigraph, _connected, _int, _key, delete_edges, is_connected
 from . import linalg
 from .linalg import _laplacian, smith_normal_form
 
@@ -157,6 +157,7 @@ def _is_cyclic(adj: list[list[int]]) -> bool:
 
 def lorenzini_check(g: Multigraph, x: int, y: int) -> LorenziniReport:
     """Coprimality data for the x-y edges of g; a disconnected g is refused before any elimination."""
+    x, y = _int(x, "x"), _int(y, "y")
     c = g.multiplicity(x, y)
     if c <= 0:
         raise ValueError(f"vertices {x} and {y} must be joined by at least one edge")
@@ -191,6 +192,9 @@ class ChainCheck:
 
 @dataclass
 class LorenziniPathReport:
+    """G' is G plus an x-y path of `length` edges: its tree count, whether
+    K(G') is cyclic, and one ChainCheck per path edge, x first."""
+
     base: LorenziniReport
     length: int
     order_g_prime: int
@@ -201,24 +205,32 @@ class LorenziniPathReport:
 def lorenzini_path_check(g: Multigraph, x: int, y: int, length: int) -> LorenziniPathReport:
     """Add a path of `length` edges between x and y and verify the chain
     coprimality conclusion: |K(G_1)| stays coprime to |K(G_1')| for every
-    deleted chain edge, and K(G') is cyclic. Every chain order comes from
-    one adjugate of G', connected as `lorenzini_check` has found G."""
+    deleted chain edge, and K(G') is cyclic. G' is never built: with
+    t = |K(G)|, t1 = |K(G_1)| and c the x-y multiplicity from
+    `lorenzini_check`, F = (t - t1)/c counts the two-tree forests of G
+    separating x and y. A spanning tree of G' misses one path edge
+    (length * t ways) or holds the whole path (F ways), so |K(G')| =
+    length * t + F. Deleting a path edge leaves G with pendant trees, of
+    order t. And gcd(|K(G')|, t) = gcd(F, t) = 1, as gcd(t, c F) =
+    gcd(t, t1) = 1; the gcd of the entries of adj L' divides |K(G')| and
+    the forest count |K(G')| - t of a path edge, hence t, so it is 1 and
+    K(G') is cyclic.
+    """
+    length = _int(length, "length")
+    if length < 1:
+        raise ValueError(f"path length must be >= 1, got {length}")
     base = lorenzini_check(g, x, y)
     if not (base.g1_connected and base.coprime):
         raise ValueError("hypothesis fails: deleted graph must be connected with coprime order")
-    gp = add_path(g, x, y, length)
-    det, adj = _adjugate(gp)
-    chain = [x] + list(range(g.n, g.n + length - 1)) + [y]
-    checks = []
-    for a, b in zip(chain, chain[1:]):
-        order = _deletion_count(det, adj, a, b, 1)
-        checks.append(ChainCheck((a, b), order, gcd(base.order_g1, order) == 1))
+    t = base.order_g
+    order = length * t + (t - base.order_g1) // base.multiplicity
+    chain = [base.x, *range(g.n, g.n + length - 1), base.y]
     return LorenziniPathReport(
         base=base,
         length=length,
-        order_g_prime=det,
-        cyclic_g_prime=_is_cyclic(adj),
-        chain=checks,
+        order_g_prime=order,
+        cyclic_g_prime=gcd(order, t) == 1,
+        chain=[ChainCheck(pair, t, base.coprime) for pair in zip(chain, chain[1:])],
     )
 
 

@@ -369,9 +369,11 @@ def test_vertex_budgets_exit_1(capsys, tmp_path, monkeypatch):
     assert code == 1 and f"graph {big}" in err
     code, out, _ = run(capsys, "group", big, "--dot")  # DOT needs no elimination
     assert code == 0 and out.count(" -- ") == cap + 1
-    # G' of lorenzini --path-len counts the path's new vertices
-    code, _, err = run(capsys, "lorenzini", "--stack", "3", "-x", "0", "-y", "1", "--path-len", "400")
-    assert code == 1 and "--path-len 400" in err and "402 vertices" in err
+    # lorenzini --path-len eliminates only G, and prints one chain line per path edge
+    code, out, _ = run(capsys, "lorenzini", "--stack", "3", "-x", "0", "-y", "1", "--path-len", "400", "--json")
+    assert code == 0 and len(json.loads(out)["chain"]) == 400
+    code, _, err = run(capsys, "lorenzini", "--stack", "3", "-x", "0", "-y", "1", "--path-len", str(stack_cap + 1))
+    assert code == 1 and "--path-len" in err and str(stack_cap) in err
     code, out, _ = run(capsys, "lorenzini", "--stack", "3", "-x", "0", "-y", "1", "--path-len", str(cap - 2),
                        "--json")
     assert code == 0 and json.loads(out)["length"] == cap - 2

@@ -311,6 +311,9 @@ def _stack_with_edge(ks, edge, mult):
     (lambda: delete_edges(cycle_graph(3), 0, 1, 1.0), "count is 1.0"),
     (lambda: brute_spanning_trees(cycle_graph(3), 20.5), "limit is 20.5"),
     (lambda: brute_spanning_forests(cycle_graph(3), 0, 1, 20.5), "limit is 20.5"),
+    (lambda: verify.lorenzini_check(cycle_graph(3), 0.0, 1), "x is 0.0"),
+    (lambda: verify.lorenzini_check(cycle_graph(3), 0, 1.0), "y is 1.0"),
+    (lambda: verify.lorenzini_path_check(cycle_graph(3), 0, 1, 2.0), "length is 2.0"),
 ])
 def test_non_integers_are_refused(build, message):
     """Every count, multiplicity, chip and matrix entry goes through

@@ -10,6 +10,7 @@ import critgroups
 from critgroups import (
     Multigraph,
     SearchOutcome,
+    add_path,
     brute_spanning_forests,
     brute_spanning_trees,
     complete_graph,
@@ -19,6 +20,7 @@ from critgroups import (
     enumerate_connected_simple_graphs,
     forest_count,
     is_connected,
+    is_cyclic,
     lorenzini_check,
     lorenzini_path_check,
     polygon_stack,
@@ -153,29 +155,41 @@ def test_lorenzini_path_check():
 
 
 def test_lorenzini_path_orders_match_tree_identities():
-    """Chain orders against identities that hold for G and G', read off two
-    separate eliminations. Deleting one path edge of G' leaves G with
-    pendant trees, so each chain order is |K(G)|. A spanning tree of G'
-    either misses one of the l path edges and holds a spanning tree of G,
-    or holds the whole path and a two-tree forest of G separating x and y,
-    whose count is (|K(G)| - |K(G_1)|) / c by the deletion formula; so
+    """Each report against a dense elimination of G' itself, and against
+    identities that hold for G and G'. Deleting one path edge of G' leaves
+    G with pendant trees, so each chain order is |K(G)|. A spanning tree of
+    G' either misses one of the l path edges and holds a spanning tree of
+    G, or holds the whole path and a two-tree forest of G separating x and
+    y, whose count is (|K(G)| - |K(G_1)|) / c by the deletion formula; so
     |K(G')| = l |K(G)| + (|K(G)| - |K(G_1)|) / c."""
-    graphs = list(enumerate_connected_simple_graphs(4))
-    graphs += [random_connected_multigraph(random.Random(i), 8, 4) for i in range(100)]
-    reports = 0
-    for g in graphs:
+    from critgroups.verify import _adjugate, _deletion_count, _is_cyclic
+
+    small = list(enumerate_connected_simple_graphs(4))
+    graphs = small + [random_connected_multigraph(random.Random(i), 8, 4) for i in range(100)]
+    cases = [(g, (1, 2, 3)) for g in graphs] + [(g, (50,)) for g in small]
+    reports = {1: 0, 2: 0, 3: 0, 50: 0}
+    for g, lengths in cases:
         for (x, y), c in g.edge_items():
             if not lorenzini_check(g, x, y).coprime:
                 continue
-            for length in (1, 2, 3):
+            for length in lengths:
                 rep = lorenzini_path_check(g, x, y, length)
+                gp = add_path(g, x, y, length)
+                det, adj = _adjugate(gp)
+                chain = [x, *range(g.n, g.n + length - 1), y]
+                pairs = list(zip(chain, chain[1:]))
+                assert rep.order_g_prime == det
+                assert [check.pair for check in rep.chain] == pairs
+                assert [check.order_g1_prime for check in rep.chain] == [
+                    _deletion_count(det, adj, a, b, 1) for a, b in pairs]
+                assert rep.cyclic_g_prime is _is_cyclic(adj) is is_cyclic(critical_group(gp))
                 order_g, order_g1 = rep.base.order_g, rep.base.order_g1
                 assert [check.order_g1_prime for check in rep.chain] == [order_g] * length
                 assert (order_g - order_g1) % c == 0
                 assert rep.order_g_prime == length * order_g + (order_g - order_g1) // c
                 assert all(check.coprime_with_g1 for check in rep.chain)
-                reports += 1
-    assert reports > 900
+                reports[length] += 1
+    assert reports[50] == 75 and sum(reports.values()) - 75 > 900
 
 
 def test_coprime_pair_search_determinism():
@@ -320,8 +334,9 @@ def _forbid(monkeypatch, *names):
 
 def test_search_routes_through_the_kernel(monkeypatch):
     """The search, the predicates and an empty re-check build no critical
-    group, Smith form, deleted graph or pair report."""
-    _forbid(monkeypatch, "critical_group", "smith_normal_form", "delete_edges", "pair_report")
+    group, Smith form, deleted graph, graph with a path added or pair
+    report."""
+    _forbid(monkeypatch, "critical_group", "smith_normal_form", "delete_edges", "pair_report", "add_path")
     exhaustive = coprime_pair_search(4, exhaustive=True)
     assert (exhaustive.examined, exhaustive.coprime_instances, len(exhaustive.counterexamples)) == (154, 75, 0)
     batch = coprime_pair_search(9, 2, trials=80, seed=3)
@@ -480,7 +495,7 @@ def test_adjugate_formulas_property():
     nx = pytest.importorskip("networkx")
     from math import gcd, lcm
 
-    from critgroups import delta_config, is_cyclic, reduced_laplacian, smith_normal_form
+    from critgroups import delta_config, reduced_laplacian, smith_normal_form
     from critgroups.verify import _adjugate, _deletion_count, _is_cyclic
 
     kinds = set()
