@@ -9,13 +9,15 @@ JSON document, with every big integer as a decimal string, and its text
 lines, of which `--quiet` keeps only the primary ones. A command reports a
 failure by raising ValueError. `main` alone writes to standard output, and
 integers of any size print in full. Exit codes: 0 success, 1 domain error
-(one `error:` line on standard error), 2 usage error.
+(one `error:` line on standard error) or a reader that closes the output
+pipe early (nothing on standard error), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -450,7 +452,16 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early: the flush at interpreter exit writes
+        # to os.devnull instead of failing on the closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

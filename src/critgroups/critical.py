@@ -41,7 +41,7 @@ from operator import mul
 from random import Random
 from typing import Iterable, Sequence
 
-from .graphs import Multigraph, _ints, is_connected
+from .graphs import Multigraph, _int, _ints, is_connected
 from .linalg import IntMatrix, _factor_laplacian, _laplacian, _least_t, _smith_mod, smith_rows_mod
 
 # Most columns of the certificate in `critical_group`. The image of K under
@@ -100,13 +100,11 @@ def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
     keeps one combination w of the columns with h = gcd(D, w) equal to the
     gcd of D and all of them, so c -> c^T w maps K onto the cyclic group of
     order D/h, the exponent of the image; h = 1 certifies K cyclic with the
-    one row w. `_certify` reads the factors and rows of the image only at a
-    column that leaves h unchanged below D, and only when some column is
-    not a multiple of w mod D (`_in_cyclic_image`): otherwise the image is
-    cyclic of order D/h < D and cannot certify K. Once the image has order
-    D its exponent is K's, so h falls no further and the next column is
-    read, at the cost of one more solve; while h = D the image is 0. After
-    the last column, all of them are read if the last one was not. The
+    one row w. `_certify` reads the factors and rows of the image at each
+    column that leaves h unchanged below D. Once the image has order D its
+    exponent is K's, so h falls no further and the next column is read, at
+    the cost of one more solve; while h = D the image is 0. When no column
+    stops them, all of the columns are read after the last one. The
     columns stop when the factors multiply to D, or when j >= 4 of them
     leave the image short of D with j factors (K then likely has rank above
     j), or after `_CERTIFICATE_COLUMNS`; then `smith_rows_mod` eliminates
@@ -122,20 +120,20 @@ def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
         factors, rows = [], []
     else:
         # comb maps K onto a cyclic subgroup of Z/|K| of order |K| / h
-        cols, comb, h, factors = [], [0] * (g.n - 1), order, None
+        cols, comb, h = [], [0] * (g.n - 1), order
         for b in _certificate_columns(g.n - 1):
             u = [x % order for x in solve(b)]
             cols.append(u)
             if (k := gcd(h, *u)) < h:
-                comb, h, factors = _fold(order, comb, u), k, None
+                comb, h = _fold(order, comb, u), k
                 if h == 1:
                     factors, rows = [order], [comb]
                     break
-            elif h < order and not _in_cyclic_image(order, h, comb, cols):
+            elif h < order:
                 factors, rows = _certify(order, cols)
                 if prod(factors) == order or len(cols) >= 4 and len(factors) == len(cols):
                     break
-        if factors is None:
+        else:
             factors, rows = _certify(order, cols)
         if prod(factors) != order:
             factors, rows = smith_rows_mod(IntMatrix.from_rows(_laplacian(g, q)), order)
@@ -160,24 +158,6 @@ def _fold(d: int, c: list[int], u: list[int]) -> list[int]:
     k, are not both 0, so c + t u loses p in its gcd with d for at most one t mod p."""
     t = _least_t(d, c, u)
     return [(x + t * y) % d for x, y in zip(c, u)]
-
-
-def _in_cyclic_image(d: int, h: int, w: list[int], cols: list[list[int]]) -> bool:
-    """Whether every column is a multiple of w mod d, where h = gcd(d, w)
-    is the gcd of d and all the columns. They span a cyclic group exactly
-    when it holds, as w has the largest order, d/h, among them; the
-    multiple is read off an entry i with gcd(d, w_i) = h, and False is
-    returned when no entry has that gcd."""
-    i = next((i for i, x in enumerate(w) if gcd(d, x) == h), None)
-    if i is None:
-        return False
-    e = d // h
-    inv = pow(w[i] // h, -1, e)
-    for u in cols:
-        a = u[i] // h * inv % e
-        if any((x - a * y) % d for x, y in zip(u, w)):
-            return False
-    return True
 
 
 def _certify(d: int, cols: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -217,6 +197,7 @@ def is_cyclic(kg: CriticalGroup) -> bool:
 
 def delta_config(g: Multigraph, x: int, y: int) -> list[int]:
     """One chip at x, minus one at y, zero elsewhere."""
+    x, y = _int(x, "x"), _int(y, "y")
     if x == y:
         raise ValueError("delta configuration needs two distinct vertices")
     if not (0 <= x < g.n and 0 <= y < g.n):
@@ -259,6 +240,7 @@ class PairReport:
 
 
 def pair_report(kg: CriticalGroup, x: int, y: int) -> PairReport:
+    x, y = _int(x, "x"), _int(y, "y")
     if x == y or not (0 <= x < kg.n and 0 <= y < kg.n):
         raise ValueError(f"invalid vertex pair ({x},{y}) for n={kg.n}")
     order = _order(kg, (row[x] - row[y] for row in kg.rows))

@@ -50,7 +50,7 @@ from math import gcd, prod
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .graphs import _ints
+from .graphs import _int, _ints
 from .sparse import _sparse_factor
 
 
@@ -271,6 +271,7 @@ def _laplacian(g, q: int) -> list[list[int]]:
     disconnected (no rows, determinant 1, for one vertex). The rows are
     dense, so a caller checks first that g is connected or, as
     `_factor_laplacian` does, that it has a spanning tree's worth of edges."""
+    q = _int(q, "q")
     if not (0 <= q < g.n):
         raise ValueError(f"vertex {q} out of range for n={g.n}")
     m = g.n - 1
@@ -313,6 +314,7 @@ def _factor_laplacian(g, q: int) -> tuple[int, Callable[[Sequence[int]], list[in
     them and `_solve` solves; otherwise `_sparse_factor` eliminates it in a
     minimum-degree order, to the end. Both give the same det and the same
     adj(L) b, which are unique."""
+    q = _int(q, "q")
     if not (0 <= q < g.n):
         raise ValueError(f"vertex {q} out of range for n={g.n}" if g.n else "graph has no vertices")
     e = len(g._edges)

@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import subprocess
 import sys
 from math import comb
 from pathlib import Path
@@ -444,3 +446,18 @@ def test_failed_self_checks_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "reverify_outcome", lambda outcome: False)
     code, out, err = run(capsys, "search", "--max-vertices", "3", "--exhaustive", "--json")
     assert (code, out, err) == (1, "", "error: search outcome failed re-verification\n")
+
+
+def test_closed_output_pipe_exits_1_quietly():
+    """A reader that closes the pipe early, as `| head -c 20` does: the
+    1.15 MB of output are still being written, and the command exits 1
+    with nothing on standard error instead of a BrokenPipeError traceback."""
+    src = str(Path(cli_mod.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "critgroups", "seq", "--const", "4", "--n", "2000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (head, proc.wait(timeout=60), err) == (b"1,4,15,56,209,780,29", 1, b"")

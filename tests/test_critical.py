@@ -443,40 +443,51 @@ def test_cyclic_groups_need_no_second_elimination(monkeypatch):
 
 
 def test_cyclic_groups_take_no_smith_step(monkeypatch):
-    """A cyclic K is certified by the one combined column, with no Smith
-    step on the columns: on a wedge (two columns), a polygon stack (one:
-    the first column, e_{n-2}, maps K onto Z/|K| by the class of
-    delta(n - 2, n - 1), a pair on the top path) and a seeded random
-    multigraph whose |K| = 5209414040 takes four columns, at some of which
-    the image stays cyclic and short of |K|."""
+    """A cyclic K is certified by the one combined column: on a wedge (two
+    columns) and a polygon stack (one: the first column, e_{n-2}, maps K
+    onto Z/|K| by the class of delta(n - 2, n - 1), a pair on the top path)
+    with no Smith step on the columns, and on a seeded random multigraph
+    whose |K| = 5209414040 takes four columns, with the one Smith step at
+    the third column, which leaves h = gcd(|K|, columns) unchanged at 2."""
     cases = [wedge_3_5(), polygon_stack((4,) * 5).graph, random_connected_multigraph(random.Random(20), 12, 4)]
     want = [[d for d in smith_normal_form(reduced_laplacian(g, g.n - 1)).diagonal() if d > 1] for g in cases]
     assert [len(f) for f in want] == [1, 1, 1] and want[2] == [5209414040]
 
     def refuse(*args):
-        raise AssertionError("Smith step on the certificate columns")
+        raise AssertionError("Smith step on L")
 
-    solves = []
+    solved, certified, smith_steps = [], [], []
 
     def count(g, q):
         det, solve = linalg._factor_laplacian(g, q)
-        return det, lambda b: solves.append(b) or solve(b)
+        return det, lambda b: solved.append(solve(b)) or solved[-1]
 
-    monkeypatch.setattr(critical, "_certify", refuse)
-    monkeypatch.setattr(critical, "_smith_mod", refuse)
+    def certify(d, cols):
+        certified.append(len(cols))
+        return real_certify(d, cols)
+
+    def smith_mod(a, d):
+        smith_steps.append(len(a))
+        return real_smith_mod(a, d)
+
+    real_certify, real_smith_mod = critical._certify, critical._smith_mod
+    monkeypatch.setattr(critical, "_certify", certify)
+    monkeypatch.setattr(critical, "_smith_mod", smith_mod)
     monkeypatch.setattr(critical, "smith_rows_mod", refuse)
     monkeypatch.setattr(critical, "_factor_laplacian", count)
     counts = []
     for g, factors in zip(cases, want):
-        solves.clear()
+        solved.clear()
         kg = critical_group(g)
-        counts.append(len(solves))
+        counts.append(len(solved))
         assert kg.invariant_factors == factors
         row = kg.rows[0][:-1]  # the deleted vertex q = n - 1 comes last
         assert gcd(kg.order, *row) == 1
         cols = list(zip(*reduced_laplacian(g, g.n - 1).to_rows()))
         assert all(sum(u * x for u, x in zip(row, col)) % kg.order == 0 for col in cols)
     assert counts == [2, 1, 4]
+    assert [gcd(kg.order, *(x for u in solved[:j] for x in u)) for j in range(1, 5)] == [40, 2, 2, 1]
+    assert certified == [3] and smith_steps == [3]
 
 
 def test_pair_scan_matches_pair_report():

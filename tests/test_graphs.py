@@ -18,13 +18,16 @@ from critgroups import (
     critical_group,
     cycle_graph,
     delete_edges,
+    delta_config,
     fire,
     format_graph,
     is_connected,
+    pair_report,
     parse_graph,
     parse_stack_spec,
     polygon_stack,
     reduce_to_pair,
+    reduced_laplacian,
     replay_log,
     tree_count,
     wedge_sum,
@@ -314,9 +317,13 @@ def _stack_with_edge(ks, edge, mult):
     (lambda: verify.lorenzini_check(cycle_graph(3), 0.0, 1), "x is 0.0"),
     (lambda: verify.lorenzini_check(cycle_graph(3), 0, 1.0), "y is 1.0"),
     (lambda: verify.lorenzini_path_check(cycle_graph(3), 0, 1, 2.0), "length is 2.0"),
+    (lambda: reduced_laplacian(cycle_graph(4), 1.5), "q is 1.5"),
+    (lambda: critical_group(cycle_graph(4), 1.0), "q is 1.0"),
+    (lambda: pair_report(critical_group(cycle_graph(4)), 0.0, 1), "x is 0.0, not an integer"),
+    (lambda: delta_config(cycle_graph(4), 0, 1.0), "y is 1.0, not an integer"),
 ])
 def test_non_integers_are_refused(build, message):
-    """Every count, multiplicity, chip and matrix entry goes through
+    """Every count, vertex, multiplicity, chip and matrix entry goes through
     operator.index: a float is refused by name, never truncated."""
     with pytest.raises(TypeError, match=re.escape(message)):
         build()
