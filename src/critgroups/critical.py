@@ -6,10 +6,13 @@ K is the direct sum of the Z/d_i over its invariant factors d_i > 1. A
 `CriticalGroup` keeps, for each d_i, a row: a coordinate map K -> Z/d_i,
 taken together an isomorphism onto the direct sum. Row i of the U of a
 Smith form U L V = D, taken mod d_i, is one such map, but any row that
-gives an isomorphism serves, so element orders and equivalence come from
-one lcm over the coordinates (Cohen, GTM 138, section 2.4), and the pair
-scan from a gcd of the coordinates scaled into Z/e, e the exponent, taken
-one coordinate at a time.
+gives an isomorphism serves (Cohen, GTM 138, section 2.4). So the order
+of a class with coordinates w_i is the lcm of the d_i / gcd(d_i, w_i);
+two configurations of one degree are equivalent when each d_i divides the
+coordinate w_i of their difference, which is tested one coordinate at a
+time; and the pair scan takes a gcd of the coordinates scaled into Z/e, e
+the exponent, one coordinate at a time. Chip counts that are not integers
+are refused by name.
 
 `critical_group` factors L once, by `linalg._factor_laplacian`, which
 gives |K| and a solve for adj(L) b, and solves columns with it: first the
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from operator import mul
+from operator import mul, sub
 from random import Random
 from typing import Iterable, Sequence
 
@@ -103,13 +106,12 @@ def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
     one row w. `_certify` reads the factors and rows of the image at each
     column that leaves h unchanged below D. Once the image has order D its
     exponent is K's, so h falls no further and the next column is read, at
-    the cost of one more solve; while h = D the image is 0. When no column
-    stops them, all of the columns are read after the last one. The
-    columns stop when the factors multiply to D, or when j >= 4 of them
-    leave the image short of D with j factors (K then likely has rank above
-    j), or after `_CERTIFICATE_COLUMNS`; then `smith_rows_mod` eliminates
-    the dense L modulo the same D. Raises ValueError for a disconnected
-    graph.
+    the cost of one more solve; while h = D the image is 0. The last
+    column is read whatever it does to h, and read once. The columns stop
+    when the factors multiply to D, or when j >= 4 of them leave the image
+    short of D with j factors (K then likely has rank above j), or after
+    `_CERTIFICATE_COLUMNS`; then `smith_rows_mod` eliminates the dense L
+    modulo the same D. Raises ValueError for a disconnected graph.
     """
     if q is None:
         q = g.n - 1
@@ -124,17 +126,16 @@ def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
         for b in _certificate_columns(g.n - 1):
             u = [x % order for x in solve(b)]
             cols.append(u)
-            if (k := gcd(h, *u)) < h:
-                comb, h = _fold(order, comb, u), k
+            h0, h = h, gcd(h, *u)
+            if h < h0:
+                comb = _fold(order, comb, u)
                 if h == 1:
                     factors, rows = [order], [comb]
                     break
-            elif h < order:
+            if h == h0 < order or len(cols) == _CERTIFICATE_COLUMNS:
                 factors, rows = _certify(order, cols)
                 if prod(factors) == order or len(cols) >= 4 and len(factors) == len(cols):
                     break
-        else:
-            factors, rows = _certify(order, cols)
         if prod(factors) != order:
             factors, rows = smith_rows_mod(IntMatrix.from_rows(_laplacian(g, q)), order)
     for row in rows:
@@ -214,21 +215,36 @@ def _order(kg: CriticalGroup, w: Iterable[int]) -> int:
 
 
 def configuration_order(kg: CriticalGroup, c: Sequence[int]) -> int:
-    """Order of a degree-zero configuration's class in the critical group."""
-    if sum(c) != 0:
-        raise ValueError(f"configuration must have degree 0, got {sum(c)}")
+    """Order of a degree-zero configuration's class in the critical group:
+    the lcm over the coordinates w_i of d_i / gcd(d_i, w_i). A non-integer
+    chip count makes the degree sum a non-int and is refused by name."""
+    if type(s := sum(c)) is not int:
+        s = sum(c := _ints(c, "c at vertex {}"))
+    if s != 0:
+        raise ValueError(f"configuration must have degree 0, got {s}")
     if len(c) != kg.n:
         raise ValueError(f"configuration length {len(c)} != n={kg.n}")
-    return _order(kg, (sum(r * x for r, x in zip(row, c)) for row in kg.rows))
+    return _order(kg, (sum(map(mul, row, c)) for row in kg.rows))
 
 
 def are_equivalent(kg: CriticalGroup, c1: Sequence[int], c2: Sequence[int]) -> bool:
-    """True iff the two configurations differ by a sequence of firing moves."""
+    """True iff the two configurations differ by a sequence of firing moves:
+    they have the same degree and d_i divides each coordinate of c1 - c2.
+    The coordinates are read in turn and the first one that d_i does not
+    divide ends the test. A non-integer chip count is refused by name."""
     if len(c1) != kg.n or len(c2) != kg.n:
         raise ValueError(f"configurations must have length {kg.n}")
-    if sum(c1) != sum(c2):
+    if type(s1 := sum(c1)) is not int:
+        s1 = sum(c1 := _ints(c1, "c1 at vertex {}"))
+    if type(s2 := sum(c2)) is not int:
+        s2 = sum(c2 := _ints(c2, "c2 at vertex {}"))
+    if s1 != s2:
         return False
-    return configuration_order(kg, [a - b for a, b in zip(c1, c2)]) == 1
+    diff = list(map(sub, c1, c2))
+    for d, row in zip(kg.invariant_factors, kg.rows):
+        if sum(map(mul, row, diff)) % d:
+            return False
+    return True
 
 
 @dataclass

@@ -490,18 +490,24 @@ def test_cyclic_groups_take_no_smith_step(monkeypatch):
     assert certified == [3] and smith_steps == [3]
 
 
-def test_pair_scan_matches_pair_report():
-    """The scan of `find_generating_pairs`, which takes one coordinate row
-    at a time and stops early, against `pair_report`, which takes the lcm
-    of the orders in each Z/d_i, at two deleted vertices, on groups of rank
-    0 to 3 (two with unequal factors, scaled into Z/e) and K_7 (rank 5)."""
-    cases = {
+def _graphs_by_rank():
+    """Graphs whose groups have rank 0 to 3 (two with unequal factors) and
+    5 (K_7), keyed by the rank."""
+    return {
         0: [Multigraph(4, {(0, 1): 1, (1, 2): 1, (1, 3): 1})],
         1: [wedge_3_5_7(), polygon_stack((3, 5, 6, 4)).graph, cycle_graph(8)],
         2: [complete_graph(4), wedge_sum(cycle_graph(2), 0, cycle_graph(4), 1)],
         3: [complete_graph(5), wedge_sum(wedge_sum(cycle_graph(2), 0, cycle_graph(4), 0), 3, cycle_graph(6), 0)],
         5: [complete_graph(7)],
     }
+
+
+def test_pair_scan_matches_pair_report():
+    """The scan of `find_generating_pairs`, which takes one coordinate row
+    at a time and stops early, against `pair_report`, which takes the lcm
+    of the orders in each Z/d_i, at two deleted vertices, on groups of rank
+    0 to 3 (two with unequal factors, scaled into Z/e) and K_7 (rank 5)."""
+    cases = _graphs_by_rank()
     for rank, graphs in cases.items():
         for g in graphs:
             for q in (0, g.n - 1):
@@ -511,6 +517,55 @@ def test_pair_scan_matches_pair_report():
                 assert critical._pair_reports(kg) == want
             assert find_generating_pairs(g) == want
     assert critical_group(cases[3][1]).invariant_factors == [2, 2, 12]
+
+
+def test_queries_match_smith_rows_by_rank():
+    """`configuration_order` against the U rows of `smith_normal_form` and
+    `are_equivalent` against `solve_image_membership`, on the graphs of
+    `_graphs_by_rank` at both deleted vertices. Each seeded degree-zero c1
+    is compared with c1 fired at a vertex, with c1 plus k delta(x, y) for k
+    from 0 to the order of delta(x, y), and with a seeded configuration.
+    On K_7, with five coordinates, some pairs that are not equivalent have
+    a first coordinate that d_1 divides, so `are_equivalent` stops at a
+    later one."""
+    rng = random.Random(2015)
+    late_exits = 0
+    for rank, graphs in _graphs_by_rank().items():
+        for g in graphs:
+            n = g.n
+            for q in (0, n - 1):
+                kg = critical_group(g, q)
+                a = reduced_laplacian(g, q)
+                dec = smith_normal_form(a)
+                assert [d for d in dec.diagonal() if d > 1] == kg.invariant_factors and len(kg.rows) == rank
+
+                def restrict(c):
+                    return [x for i, x in enumerate(c) if i != q]
+
+                def ref_order(c):
+                    w = dec.u.mult_vector(restrict(c))
+                    return lcm(*(d // gcd(d, wi) for d, wi in zip(dec.diagonal(), w)))
+
+                for _ in range(6):
+                    c1 = [rng.randint(-4, 4) for _ in range(n)]
+                    c1[rng.randrange(n)] -= sum(c1)
+                    x, y = rng.sample(range(n), 2)
+                    delta = delta_config(g, x, y)
+                    o = ref_order(delta)
+                    c_random = [rng.randint(-4, 4) for _ in range(n)]
+                    c_random[rng.randrange(n)] -= sum(c_random)
+                    c_fired = fire(g, c1, rng.randrange(n), rng.randint(-2, 2))
+                    shifted = [[ci + k * di for ci, di in zip(c1, delta)] for k in range(o + 1)]
+                    for c2 in [c_fired, c_random] + shifted:
+                        diff = [u - v for u, v in zip(c1, c2)]
+                        assert configuration_order(kg, diff) == ref_order(diff)
+                        equivalent = solve_image_membership(a, restrict(diff))
+                        assert are_equivalent(kg, c1, c2) == are_equivalent(kg, c2, c1) == equivalent
+                        if rank == 5 and not equivalent:
+                            late_exits += sum(r * x for r, x in zip(kg.rows[0], diff)) % kg.invariant_factors[0] == 0
+                    assert are_equivalent(kg, c1, c_fired) and are_equivalent(kg, c1, shifted[o])
+                    assert [are_equivalent(kg, c1, c2) for c2 in shifted[:o]] == [True] + [False] * (o - 1)
+    assert late_exits > 0
 
 
 def test_certificate_falls_back_to_smith_rows(monkeypatch):
@@ -526,13 +581,20 @@ def test_certificate_falls_back_to_smith_rows(monkeypatch):
 
         return det, counted
 
+    def certify(d, cols):
+        read.append(len(cols))
+        return real_certify(d, cols)
+
+    real_certify, read = critical._certify, []
     monkeypatch.setattr(critical, "_factor_laplacian", count)
+    monkeypatch.setattr(critical, "_certify", certify)
     # K_11 has rank 9: four columns give four factors short of |K|, and
     # no more are solved
     assert critical_group(complete_graph(11)).invariant_factors == [11] * 9
     assert calls == [11**9] and len(solves) == 4
     # seeded columns that are all even leave only Z/3 of C_6 (Z/6) in the
-    # image, however many of them are solved
+    # image, however many of them are solved; each column after the first
+    # leaves h = 2 and is read once, the last one too
     g = cycle_graph(6)
     want = find_generating_pairs(g)
     certified = critical_group(g)
@@ -540,18 +602,22 @@ def test_certificate_falls_back_to_smith_rows(monkeypatch):
     columns = critical._certificate_columns
     monkeypatch.setattr(critical, "_certificate_columns", lambda n: [[2 * x for x in c] for c in columns(n)])
     solves.clear()
+    read.clear()
     kg = critical_group(g)
     assert calls == [11**9, 6] and len(solves) == critical._CERTIFICATE_COLUMNS
+    assert read == [2, 3, 4, 5, 6, 7, 8]
     assert (kg.invariant_factors, kg.order) == (certified.invariant_factors, certified.order) == ([6], 6)
     assert find_generating_pairs(g) == want
     # Z/2 + Z/4: the first seven columns map K onto Z/2 + Z/2, and the last
     # one, which lowers the combined column's gcd with |K| = 8, completes
-    # the image; all eight are read once more, with no fallback
+    # the image; all eight are read at it, with no fallback
     a, b, c = [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]
     monkeypatch.setattr(critical, "_certificate_columns", lambda n: [a, b] * 3 + [a, c])
     solves.clear()
+    read.clear()
     assert critical_group(wedge_sum(cycle_graph(2), 0, cycle_graph(4), 1)).invariant_factors == [2, 4]
     assert calls == [11**9, 6, 6] and len(solves) == critical._CERTIFICATE_COLUMNS
+    assert read == [2, 3, 4, 5, 6, 7, 8]
 
 
 def _modular_cases():

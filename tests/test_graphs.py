@@ -11,9 +11,11 @@ from critgroups import (
     QuadraticNumber,
     add_path,
     alternating_tables,
+    are_equivalent,
     brute_spanning_forests,
     brute_spanning_trees,
     complete_graph,
+    configuration_order,
     constant_k_table,
     critical_group,
     cycle_graph,
@@ -321,10 +323,14 @@ def _stack_with_edge(ks, edge, mult):
     (lambda: critical_group(cycle_graph(4), 1.0), "q is 1.0"),
     (lambda: pair_report(critical_group(cycle_graph(4)), 0.0, 1), "x is 0.0, not an integer"),
     (lambda: delta_config(cycle_graph(4), 0, 1.0), "y is 1.0, not an integer"),
+    (lambda: are_equivalent(critical_group(cycle_graph(4)), [0.5, 0, 0, 0], [0] * 4), "c1 at vertex 0 is 0.5"),
+    (lambda: are_equivalent(critical_group(cycle_graph(4)), [0] * 4, [1, -1.0, 0, 0]), "c2 at vertex 1 is -1.0"),
+    (lambda: configuration_order(critical_group(cycle_graph(4)), [0.0] * 4), "c at vertex 0 is 0.0"),
+    (lambda: configuration_order(critical_group(cycle_graph(4)), [1, -1, 0.5, -0.5]), "c at vertex 2 is 0.5"),
 ])
 def test_non_integers_are_refused(build, message):
     """Every count, vertex, multiplicity, chip and matrix entry goes through
-    operator.index: a float is refused by name, never truncated."""
+    operator.index: a float is refused by name, never truncated or compared."""
     with pytest.raises(TypeError, match=re.escape(message)):
         build()
 
