@@ -22,7 +22,7 @@ import sys
 from collections.abc import Sequence
 from contextlib import contextmanager
 from functools import cache
-from math import log10
+from math import comb, log10
 from typing import NamedTuple
 
 from . import __version__
@@ -76,6 +76,9 @@ MAX_ELIMINATION_VERTICES = 150
 # prints quadratically many digits: 0.6 MB in 22 ms for 2,000 vertices. It
 # also bounds lorenzini --path-len, which eliminates only G and prints one
 # chain line per path edge: 0.64 MB for 2,000 edges on a 150-vertex graph.
+# group --dot writes one line per edge, parallel ones included, so a graph
+# file takes at most C(2000, 2) edges, as many as a simple graph on its
+# 2,000 vertices can have.
 MAX_STACK_VERTICES = 2000
 # seq --n: the closed form takes 0.6 s for n = 2,000 (2-vCPU host), and the
 # output grows quadratically in n (--const 4 --n 20000 prints 114 MB).
@@ -165,6 +168,8 @@ def _inputs(args) -> Inputs:
         g = _read_graph(args.graph)
         if eliminates or dot:
             _check_size(f"graph {args.graph}", g.n, cap, args.command)
+        if dot and (edges := g.edge_count()) > (most := comb(MAX_STACK_VERTICES, 2)):
+            raise ValueError(f"graph {args.graph} has {edges} edges; group --dot writes at most {most}, one line each")
     return Inputs(g, stack, tuple(parse_configuration(c) for c in getattr(args, "config", None) or ()))
 
 
@@ -339,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group", help="invariant factors, order and cyclicity")
     _add_common(p)
     p.add_argument("--dot", action="store_true",
-                   help=f"emit the graph in DOT format instead (graphs and stacks of up to {MAX_STACK_VERTICES} vertices)")
+                   help=f"emit the graph in DOT format instead (graphs and stacks of up to {MAX_STACK_VERTICES} vertices; "
+                        f"graphs of up to {comb(MAX_STACK_VERTICES, 2)} edges)")
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("trees", help="spanning tree count")

@@ -20,11 +20,10 @@ unit column of L's last row, then seeded ones. On a sparse graph, such as
 a polygon stack, the factorization is a fraction-free elimination in a
 minimum-degree order; on a dense one it is the dense symmetric Bareiss
 elimination, three pivots a pass; either gives the same columns. They map
-K into a sum of copies of Z/|K|. Folded into one combined column, they
-map K onto a cyclic group, and once that has order |K| it certifies K
-cyclic with no Smith step. The first column alone does so exactly when
-the class of delta(v, q), v the vertex of L's last row, generates K, as
-it does on a polygon stack whose top polygon has four or more sides:
+K into a sum of copies of Z/|K|. The first column alone maps K onto
+Z/|K|, and so certifies K cyclic with no Smith step, exactly when the
+class of delta(v, q), v the vertex of L's last row, generates K, as it
+does on a polygon stack whose top polygon has four or more sides:
 with q = n - 1, v = n - 2 and q are adjacent on the top path, and the
 paper's theorem applies. Otherwise, once the image has order |K|, the
 Smith form of the columns modulo |K|, by `linalg._smith_mod`, gives the
@@ -45,7 +44,7 @@ from random import Random
 from typing import Iterable, Sequence
 
 from .graphs import Multigraph, _int, _ints, is_connected
-from .linalg import IntMatrix, _factor_laplacian, _laplacian, _least_t, _smith_mod, smith_rows_mod
+from .linalg import IntMatrix, _factor_laplacian, _laplacian, _smith_mod, smith_rows_mod
 
 # Most columns of the certificate in `critical_group`. The image of K under
 # j seeded columns is all of K when, for each prime p of |K|, the columns
@@ -99,19 +98,20 @@ def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
     its image has order D. The first column, e_{m-1} for the m = n - 1 rows
     of L, is the one the dense solve reads by back substitution alone, and
     it maps K onto Z/D, by the pairing of K with the class of delta(v, q),
-    v the vertex of row m - 1, exactly when that class generates K. `_fold`
-    keeps one combination w of the columns with h = gcd(D, w) equal to the
-    gcd of D and all of them, so c -> c^T w maps K onto the cyclic group of
-    order D/h, the exponent of the image; h = 1 certifies K cyclic with the
-    one row w. `_certify` reads the factors and rows of the image at each
-    column that leaves h unchanged below D. Once the image has order D its
-    exponent is K's, so h falls no further and the next column is read, at
-    the cost of one more solve; while h = D the image is 0. The last
-    column is read whatever it does to h, and read once. The columns stop
-    when the factors multiply to D, or when j >= 4 of them leave the image
-    short of D with j factors (K then likely has rank above j), or after
-    `_CERTIFICATE_COLUMNS`; then `smith_rows_mod` eliminates the dense L
-    modulo the same D. Raises ValueError for a disconnected graph.
+    v the vertex of row m - 1, exactly when that class generates K; then
+    h = gcd(D, column) = 1 and the column is K's one row. The image is
+    spanned by the rows r of W, of orders D / gcd(D, r), so its exponent is
+    D/h for h = gcd(D, W), prime by prime. `_certify` reads the factors and
+    rows of the image at the column where h reaches 1, as the image then
+    has exponent D and so is all of K, and at each column that leaves h
+    unchanged below D. Once the image has order D its exponent is K's, so
+    h falls no further and the next column is read, at the cost of one more
+    solve; while h = D the image is 0. The last column is read whatever it
+    does to h, and read once. The columns stop when the factors multiply to
+    D, or when j >= 4 of them leave the image short of D with j factors (K
+    then likely has rank above j), or after `_CERTIFICATE_COLUMNS`; then
+    `smith_rows_mod` eliminates the dense L modulo the same D. Raises
+    ValueError for a disconnected graph.
     """
     if q is None:
         q = g.n - 1
@@ -121,18 +121,15 @@ def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
     if order == 1:
         factors, rows = [], []
     else:
-        # comb maps K onto a cyclic subgroup of Z/|K| of order |K| / h
-        cols, comb, h = [], [0] * (g.n - 1), order
+        cols, h = [], order  # h = gcd(|K|, columns so far): the image has exponent |K| / h
         for b in _certificate_columns(g.n - 1):
             u = [x % order for x in solve(b)]
             cols.append(u)
             h0, h = h, gcd(h, *u)
-            if h < h0:
-                comb = _fold(order, comb, u)
-                if h == 1:
-                    factors, rows = [order], [comb]
-                    break
-            if h == h0 < order or len(cols) == _CERTIFICATE_COLUMNS:
+            if h == 1 and len(cols) == 1:
+                factors, rows = [order], cols
+                break
+            if h == 1 or h == h0 < order or len(cols) == _CERTIFICATE_COLUMNS:
                 factors, rows = _certify(order, cols)
                 if prod(factors) == order or len(cols) >= 4 and len(factors) == len(cols):
                     break
@@ -150,15 +147,6 @@ def _certificate_columns(n: int) -> list[bytes]:
     generator seeded by n alone."""
     data = Random(n).randbytes(n * (_CERTIFICATE_COLUMNS - 1))
     return [bytes(n - 1) + b"\1"] + [data[i:i + n] for i in range(0, len(data), n)]
-
-
-def _fold(d: int, c: list[int], u: list[int]) -> list[int]:
-    """c + t u mod d for the least t with gcd(d, c + t u) = k = gcd(d, c, u),
-    by `linalg._least_t`; t >= 1, as k < gcd(d, c). Such a t exists: for each
-    prime p of d/k, the vectors c/p^e and u/p^e mod p, e the exponent of p in
-    k, are not both 0, so c + t u loses p in its gcd with d for at most one t mod p."""
-    t = _least_t(d, c, u)
-    return [(x + t * y) % d for x, y in zip(c, u)]
 
 
 def _certify(d: int, cols: list[list[int]]) -> tuple[list[int], list[list[int]]]:

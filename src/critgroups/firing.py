@@ -14,7 +14,7 @@ from __future__ import annotations
 from operator import index
 from typing import Sequence
 
-from .graphs import Multigraph, StackGraph, _ints, cycle_graph, polygon_stack
+from .graphs import Multigraph, StackGraph, _int, _ints, cycle_graph, polygon_stack
 
 MoveLog = list[tuple[int, int]]
 
@@ -114,6 +114,7 @@ def reduce_to_pair(sg: StackGraph, c: Sequence[int], pos: int) -> tuple[list[int
     g = sg.graph
     if not sg.paths:
         raise ValueError("empty stack has no vertex pair to reduce onto")
+    pos = _int(pos, "pos")
     cur = _ints(c, "chip count at vertex {}")
     if len(cur) != g.n:
         raise ValueError(f"configuration length {len(cur)} != n={g.n}")

@@ -181,7 +181,7 @@ def is_connected(g: Multigraph) -> bool:
 
 def cycle_graph(m: int) -> Multigraph:
     """Cycle on m vertices; m = 2 gives the two-vertex double edge."""
-    if m < 2:
+    if (m := _int(m, "m")) < 2:
         raise ValueError(f"cycle needs at least 2 vertices, got {m}")
     if m == 2:
         return Multigraph(2, {(0, 1): 2})
@@ -189,7 +189,7 @@ def cycle_graph(m: int) -> Multigraph:
 
 
 def complete_graph(m: int) -> Multigraph:
-    if m < 1:
+    if (m := _int(m, "m")) < 1:
         raise ValueError(f"complete graph needs at least 1 vertex, got {m}")
     return Multigraph(m, {(i, j): 1 for i in range(m) for j in range(i + 1, m)})
 
@@ -224,6 +224,7 @@ def add_path(g: Multigraph, x: int, y: int, length: int) -> Multigraph:
     New vertices get consecutive indices g.n .. g.n + length - 2;
     length = 1 just increments the multiplicity of (x, y).
     """
+    x, y, length = _int(x, "x"), _int(y, "y"), _int(length, "length")
     if x == y:
         raise ValueError("path endpoints must be distinct (self-loops forbidden)")
     if not (0 <= x < g.n and 0 <= y < g.n):
@@ -244,6 +245,9 @@ def _add_chain(edges: dict[tuple[int, int], int], chain: Sequence[int]) -> None:
 
 def delete_edges(g: Multigraph, x: int, y: int, count: int | None = None) -> Multigraph:
     """Remove `count` parallel edges between x and y (all of them when None)."""
+    x, y = _int(x, "x"), _int(y, "y")
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise ValueError(f"vertices ({x},{y}) out of range for n={g.n}")
     m = g.multiplicity(x, y)
     count = m if count is None else _int(count, "count")
     if not (0 <= count <= m):

@@ -444,9 +444,11 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
 
 def _least_t(D: int, a: Sequence[int], b: Sequence[int]) -> int:
     """The least t >= 0 with gcd(D, a + t b) = gcd(D, a, b), for vectors a
-    and b. Each prime p of D rules out at most one t mod p (`critical._fold`
-    shows why), so by Jacobsthal's function the least t is far below
-    D.bit_length()^2, past which ArithmeticError is raised."""
+    and b. Such a t exists: with k = gcd(D, a, b), for each prime p of D/k
+    the vectors a/p^e and b/p^e mod p, e the exponent of p in k, are not
+    both 0, so p^(e+1) divides every entry of a + t b for at most one t mod
+    p. So by Jacobsthal's function the least t is far below D.bit_length()^2,
+    past which ArithmeticError is raised."""
     h = gcd(D, *a, *b)
     for t in range(D.bit_length() ** 2):
         if gcd(D, *[x + t * y for x, y in zip(a, b)]) == h:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .graphs import _ints, check_stack_spec
+from .graphs import _int, _ints, check_stack_spec
 
 
 class QuadraticNumber:
@@ -155,9 +155,9 @@ def forest_count(ks: Sequence[int]) -> int:
 
 def constant_k_table(k: int, n_max: int) -> SequenceTable:
     """T_0..T_{n_max} for a stack of n k-gons: T_n = k*T_{n-1} - T_{n-2}."""
-    if _ints([k], "polygon size")[0] < 2:
+    if _int(k, "polygon size") < 2:
         raise ValueError(f"polygon size must be >= 2, got {k}")
-    if n_max < 0:
+    if _int(n_max, "n_max") < 0:
         raise ValueError("n_max must be nonnegative")
     return SequenceTable(f"T(k={k})", _prefix_counts((k,) * n_max))
 
@@ -166,6 +166,7 @@ def constant_k_closed_form(k: int, n: int) -> int:
     """Closed form for the constant-k tree counts: with d = k^2 - 4 and one
     exact power (k + sqrt(d))^n = a + b sqrt(d), the irrational parts of its
     two terms cancel and they sum to (a + k b) / 2^n, checked to be an integer."""
+    k, n = _int(k, "polygon size"), _int(n, "n")
     if k < 3:
         raise ValueError("closed form needs k >= 3 (k = 2 degenerates the discriminant)")
     if n < 0:
@@ -179,7 +180,7 @@ def house_closed_form(n: int) -> int:
     """Tree counts of the n-story house (3,4,4,...): T_0 = 3, T_1 = 11. With
     one exact power (2 + sqrt(3))^n = a + b sqrt(3), the two terms of the
     closed form sum to 3a + 5b, checked to be an integer."""
-    if n < 0:
+    if (n := _int(n, "n")) < 0:
         raise ValueError("n must be nonnegative")
     p = QuadraticNumber(2, 1, 3) ** n
     return QuadraticNumber(3 * p.a + 5 * p.b, 0, 3).as_integer()
@@ -196,7 +197,7 @@ def alternating_tables(k1: int, k2: int, n_max: int) -> tuple[SequenceTable, Seq
     """
     if min(_ints([k1, k2], "polygon size")) < 2:
         raise ValueError(f"polygon sizes must be >= 2, got ({k1},{k2})")
-    if n_max < 0:
+    if _int(n_max, "n_max") < 0:
         raise ValueError("n_max must be nonnegative")
     c = _prefix_counts((k1, k2) * n_max)
     return (

@@ -51,13 +51,12 @@ def _edge_instances(g: Multigraph, limit: int, size: int) -> list[tuple[int, int
     limit = _int(limit, "limit")
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    out = [e for e, m in g.edge_items() for _ in range(m)]
-    if len(out) > limit:
-        raise ValueError(f"{len(out)} edges exceeds enumeration limit {limit}")
-    subsets = comb(len(out), max(size, 0))
+    if (edges := g.edge_count()) > limit:
+        raise ValueError(f"{edges} edges exceeds enumeration limit {limit}")
+    subsets = comb(edges, max(size, 0))
     if subsets > MAX_SUBSETS:
         raise ValueError(f"{subsets} subsets of {size} edges exceeds the enumeration bound {MAX_SUBSETS}")
-    return out
+    return [e for e, m in g.edge_items() for _ in range(m)]
 
 
 def brute_spanning_trees(g: Multigraph, limit: int = 20) -> int:
@@ -77,6 +76,7 @@ def brute_spanning_forests(g: Multigraph, x: int, y: int, limit: int = 20) -> in
     same refusals as `brute_spanning_trees` for subsets of n - 2 edges:
     such a forest plus an x-y edge is a spanning tree."""
     instances = _edge_instances(g, limit, g.n - 2)
+    x, y = _int(x, "x"), _int(y, "y")
     if x == y:
         raise ValueError("roots must be distinct")
     if not (0 <= x < g.n and 0 <= y < g.n):

@@ -430,6 +430,18 @@ def test_seq_digit_budget_exit_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "seq", "--const", big, "--n", "40", "--json")
     assert code == 0 and len(json.loads(out)["values"]) == 41
 
+def test_group_dot_edge_budget_exit_1(capsys, tmp_path):
+    """group --dot writes one line per edge instance, so a graph file is
+    refused by its edge count, with multiplicity, before any DOT is written:
+    at most C(MAX_STACK_VERTICES, 2), the edges of a simple graph on as many
+    vertices."""
+    budget = comb(cli_mod.MAX_STACK_VERTICES, 2)
+    heavy = tmp_path / "heavy.txt"
+    heavy.write_text("n 2\ne 0 1 2000000\n")
+    code, out, err = run(capsys, "group", str(heavy), "--dot")
+    assert (code, out) == (1, "") and f"graph {heavy} has 2000000 edges" in err and str(budget) in err
+
+
 def test_group_dot_disconnected(capsys, tmp_path):
     apart = tmp_path / "apart.txt"
     apart.write_text("n 4\ne 0 1\ne 2 3\n")

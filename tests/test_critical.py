@@ -442,13 +442,14 @@ def test_cyclic_groups_need_no_second_elimination(monkeypatch):
     assert passes == [6, 11, 4]
 
 
-def test_cyclic_groups_take_no_smith_step(monkeypatch):
-    """A cyclic K is certified by the one combined column: on a wedge (two
-    columns) and a polygon stack (one: the first column, e_{n-2}, maps K
-    onto Z/|K| by the class of delta(n - 2, n - 1), a pair on the top path)
-    with no Smith step on the columns, and on a seeded random multigraph
-    whose |K| = 5209414040 takes four columns, with the one Smith step at
-    the third column, which leaves h = gcd(|K|, columns) unchanged at 2."""
+def test_cyclic_groups_read_the_image_where_h_stalls_or_reaches_1(monkeypatch):
+    """A cyclic K on a polygon stack takes one solve and no Smith step: the
+    first column, e_{n-2}, maps K onto Z/|K| by the class of
+    delta(n - 2, n - 1), a pair on the top path, and is K's row as it
+    stands. Past one column, `_certify` reads the image where h = gcd(|K|,
+    columns) reaches 1: on a wedge at the second column, and on a seeded
+    random multigraph whose |K| = 5209414040 takes four columns, at the
+    fourth, after a read at the third, which leaves h unchanged at 2."""
     cases = [wedge_3_5(), polygon_stack((4,) * 5).graph, random_connected_multigraph(random.Random(20), 12, 4)]
     want = [[d for d in smith_normal_form(reduced_laplacian(g, g.n - 1)).diagonal() if d > 1] for g in cases]
     assert [len(f) for f in want] == [1, 1, 1] and want[2] == [5209414040]
@@ -475,11 +476,13 @@ def test_cyclic_groups_take_no_smith_step(monkeypatch):
     monkeypatch.setattr(critical, "_smith_mod", smith_mod)
     monkeypatch.setattr(critical, "smith_rows_mod", refuse)
     monkeypatch.setattr(critical, "_factor_laplacian", count)
-    counts = []
+    counts, reads = [], []
     for g, factors in zip(cases, want):
         solved.clear()
+        certified.clear()
         kg = critical_group(g)
         counts.append(len(solved))
+        reads.append(certified[:])
         assert kg.invariant_factors == factors
         row = kg.rows[0][:-1]  # the deleted vertex q = n - 1 comes last
         assert gcd(kg.order, *row) == 1
@@ -487,7 +490,7 @@ def test_cyclic_groups_take_no_smith_step(monkeypatch):
         assert all(sum(u * x for u, x in zip(row, col)) % kg.order == 0 for col in cols)
     assert counts == [2, 1, 4]
     assert [gcd(kg.order, *(x for u in solved[:j] for x in u)) for j in range(1, 5)] == [40, 2, 2, 1]
-    assert certified == [3] and smith_steps == [3]
+    assert reads == [[2], [], [3, 4]] and smith_steps == [2, 3, 4]
 
 
 def _graphs_by_rank():

@@ -16,6 +16,7 @@ from critgroups import (
     brute_spanning_trees,
     complete_graph,
     configuration_order,
+    constant_k_closed_form,
     constant_k_table,
     critical_group,
     cycle_graph,
@@ -23,6 +24,7 @@ from critgroups import (
     delta_config,
     fire,
     format_graph,
+    house_closed_form,
     is_connected,
     pair_report,
     parse_graph,
@@ -227,6 +229,8 @@ def test_delete_edges():
     assert delete_edges(g, 0, 1).edge_count() == 0
     with pytest.raises(ValueError):
         delete_edges(g, 0, 1, 4)
+    with pytest.raises(ValueError, match=re.escape("vertices (0,7) out of range for n=4")):
+        delete_edges(cycle_graph(4), 0, 7)
 
 
 def test_graph_text_roundtrip():
@@ -327,6 +331,16 @@ def _stack_with_edge(ks, edge, mult):
     (lambda: are_equivalent(critical_group(cycle_graph(4)), [0] * 4, [1, -1.0, 0, 0]), "c2 at vertex 1 is -1.0"),
     (lambda: configuration_order(critical_group(cycle_graph(4)), [0.0] * 4), "c at vertex 0 is 0.0"),
     (lambda: configuration_order(critical_group(cycle_graph(4)), [1, -1, 0.5, -0.5]), "c at vertex 2 is 0.5"),
+    (lambda: brute_spanning_forests(cycle_graph(3), 2.0, 1), "x is 2.0"),
+    (lambda: constant_k_closed_form(4, 2.0), "n is 2.0"),
+    (lambda: house_closed_form(3.0), "n is 3.0"),
+    (lambda: constant_k_table(4, 3.0), "n_max is 3.0"),
+    (lambda: alternating_tables(3, 4, 2.0), "n_max is 2.0"),
+    (lambda: cycle_graph(4.0), "m is 4.0"),
+    (lambda: complete_graph(3.0), "m is 3.0"),
+    (lambda: add_path(cycle_graph(4), 0, 2, 3.0), "length is 3.0"),
+    (lambda: reduce_to_pair(polygon_stack((3, 4)), [0] * 5, 0.0), "pos is 0.0"),
+    (lambda: delete_edges(cycle_graph(4), 0.5, 1), "x is 0.5"),
 ])
 def test_non_integers_are_refused(build, message):
     """Every count, vertex, multiplicity, chip and matrix entry goes through

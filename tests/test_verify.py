@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 import sys
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -44,6 +45,22 @@ def test_brute_spanning_trees_errors():
     with pytest.raises(ValueError):
         brute_spanning_trees(big)
     assert brute_spanning_trees(big, limit=21) == 1189  # T(6,6,6,6)
+
+
+def test_brute_limit_is_checked_before_edges_are_listed():
+    """A million parallel edges are refused by their count, without a list
+    of a million edge instances."""
+    g = Multigraph(2, {(0, 1): 10**6})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="1000000 edges exceeds enumeration limit 20"):
+            brute_spanning_trees(g)
+        with pytest.raises(ValueError, match="1000000 edges exceeds enumeration limit 20"):
+            brute_spanning_forests(g, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_brute_spanning_forests_examples():
