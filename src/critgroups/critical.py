@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import mul, sub
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Multigraph, _int, _ints, is_connected
 from .linalg import IntMatrix, _factor_laplacian, _laplacian, _smith_mod, smith_rows_mod
@@ -140,13 +140,15 @@ def critical_group(g: Multigraph, q: int | None = None) -> CriticalGroup:
     return CriticalGroup(factors, order, q, g.n, rows)
 
 
-def _certificate_columns(n: int) -> list[bytes]:
+def _certificate_columns(n: int) -> Iterator[bytes]:
     """The _CERTIFICATE_COLUMNS columns of length n >= 1 of the
     certificate's right-hand side B: first e_{n-1}, which a solve reads by
-    back substitution alone, then columns of entries 0..255 from a
-    generator seeded by n alone."""
+    back substitution alone, then columns of entries 0..255 from a Random
+    seeded by n alone. The Random is made only when a second column is
+    asked for, as the first alone certifies most groups."""
+    yield bytes(n - 1) + b"\1"
     data = Random(n).randbytes(n * (_CERTIFICATE_COLUMNS - 1))
-    return [bytes(n - 1) + b"\1"] + [data[i:i + n] for i in range(0, len(data), n)]
+    yield from (data[i:i + n] for i in range(0, len(data), n))
 
 
 def _certify(d: int, cols: list[list[int]]) -> tuple[list[int], list[list[int]]]:

@@ -5,8 +5,10 @@ may be negative. A move log is a list of (vertex, times) pairs where
 positive times mean fire and negative mean borrow; replaying a log from the
 start configuration reproduces the end configuration exactly.
 
-Every move is one in-place Laplacian step. The reduction sweeps each
-level's path once, from the base up; a cycle is the one-level stack.
+Every move is one in-place Laplacian step, written out inline on the
+degree and adjacency tables, which are read once per call. The reduction
+sweeps each level's path once, from the base up; a cycle is the one-level
+stack.
 """
 
 from __future__ import annotations
@@ -36,15 +38,6 @@ def format_configuration(c: Sequence[int]) -> str:
     return ",".join(str(x) for x in c)
 
 
-def _move(g: Multigraph, cur: list[int], v: int, times: int) -> None:
-    """Fire v `times` times in place (negative times borrow). The neighbor
-    map is read directly, not through the sorting `incident`: the sums do
-    not depend on the order."""
-    cur[v] -= times * g.degree(v)
-    for u, mult in (g._adj or g._build_adj()).get(v, {}).items():
-        cur[u] += times * mult
-
-
 def fire(g: Multigraph, c: Sequence[int], v: int, times: int = 1) -> list[int]:
     """Fire vertex v `times` times (negative times borrow)."""
     return replay_log(g, c, [(v, times)])
@@ -52,40 +45,26 @@ def fire(g: Multigraph, c: Sequence[int], v: int, times: int = 1) -> list[int]:
 
 def replay_log(g: Multigraph, c: Sequence[int], log: Sequence[tuple[int, int]]) -> list[int]:
     """Apply a move log to a copy of c, checking the vertex, its count and
-    the configuration length at every entry."""
+    the configuration length at every entry. A vertex without edges is
+    in no table, and its moves change nothing."""
     out = _ints(c, "chip count at vertex {}")
+    n, deg, adj = g.n, g._deg, g._adj or g._build_adj()
+    short = len(out) != n
     for v, times in log:
-        try:
-            v, times = index(v), index(times)
-        except TypeError:
-            raise TypeError(f"move ({v!r}, {times!r}) needs an integer vertex and count") from None
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-        if len(out) != g.n:
-            raise ValueError(f"configuration length {len(out)} != n={g.n}")
-        _move(g, out, v, times)
+        if not type(v) is type(times) is int:  # plain ints, the common case, skip two calls
+            try:
+                v, times = index(v), index(times)
+            except TypeError:
+                raise TypeError(f"move ({v!r}, {times!r}) needs an integer vertex and count") from None
+        if not (0 <= v < n):
+            raise ValueError(f"vertex {v} out of range for n={n}")
+        if short:
+            raise ValueError(f"configuration length {len(out)} != n={n}")
+        if v in deg:
+            out[v] -= times * deg[v]
+            for u, mult in adj[v].items():
+                out[u] += times * mult
     return out
-
-
-def _borrow(g: Multigraph, cur: list[int], log: MoveLog, v: int, count: int) -> None:
-    # borrow `count` times at v, in place; zero borrows are dropped from the log
-    if count == 0:
-        return
-    _move(g, cur, v, -count)
-    log.append((v, -count))
-
-
-def _sweep_path(g: Multigraph, cur: list[int], log: MoveLog, path: list[int], pos: int) -> None:
-    """Consolidate all chips on a path onto (path[pos], path[pos+1]).
-
-    Borrows happen only at interior path vertices, so nothing leaks back
-    into whatever the path endpoints are attached to.
-    """
-    last = len(path) - 1
-    for j in range(1, pos + 1):
-        _borrow(g, cur, log, path[j], cur[path[j - 1]])
-    for j in range(last - 1, pos, -1):
-        _borrow(g, cur, log, path[j], cur[path[j + 1]])
 
 
 def reduce_on_cycle(g: Multigraph, c: Sequence[int]) -> tuple[list[int], MoveLog]:
@@ -136,7 +115,27 @@ def reduce_to_pair(sg: StackGraph, c: Sequence[int], pos: int) -> tuple[list[int
     paths = [base[s:] + base[:s], *sg.paths[1:]]
     targets[0] = k - 2
 
+    # Each path's chips go onto its target pair t, t + 1: forward from the
+    # start, then back from the end, borrowing at an interior vertex as often
+    # as its outer neighbor has chips, so nothing leaks into whatever the
+    # path's endpoints are attached to. Zero borrows are not logged.
     log: MoveLog = []
-    for path, target in zip(paths, targets):
-        _sweep_path(g, cur, log, path, target)
+    deg, adj = g._deg, g._adj or g._build_adj()
+    for path, t in zip(paths, targets):
+        for j in range(1, t + 1):
+            count = cur[path[j - 1]]
+            if count:
+                v = path[j]
+                cur[v] += count * deg[v]
+                for u, mult in adj[v].items():
+                    cur[u] -= count * mult
+                log.append((v, -count))
+        for j in range(len(path) - 2, t, -1):
+            count = cur[path[j + 1]]
+            if count:
+                v = path[j]
+                cur[v] += count * deg[v]
+                for u, mult in adj[v].items():
+                    cur[u] -= count * mult
+                log.append((v, -count))
     return cur, log

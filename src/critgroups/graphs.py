@@ -246,6 +246,8 @@ def _add_chain(edges: dict[tuple[int, int], int], chain: Sequence[int]) -> None:
 def delete_edges(g: Multigraph, x: int, y: int, count: int | None = None) -> Multigraph:
     """Remove `count` parallel edges between x and y (all of them when None)."""
     x, y = _int(x, "x"), _int(y, "y")
+    if x == y:
+        raise ValueError("edge endpoints must be distinct (self-loops forbidden)")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError(f"vertices ({x},{y}) out of range for n={g.n}")
     m = g.multiplicity(x, y)

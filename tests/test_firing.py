@@ -227,6 +227,25 @@ def test_replay_log_checks_each_entry():
     assert replay_log(g, [1, -1, 0], []) == [1, -1, 0]
 
 
+def test_replay_log_reports_the_vertex_before_the_length():
+    # within one entry: the types, then the vertex range, then the length
+    g = cycle_graph(4)
+    with pytest.raises(ValueError, match="vertex 4 out of range for n=4"):
+        replay_log(g, [1, -1, 0], [(4, 1)])
+    with pytest.raises(TypeError, match=r"move \(1.0, 1\) needs an integer vertex and count"):
+        replay_log(g, [1, -1, 0], [(1.0, 1)])
+    # a bool is not a plain int, and goes through operator.index
+    assert replay_log(g, [1, -1, 0, 0], [(True, 1)]) == fire(g, [1, -1, 0, 0], 1) == [2, -3, 1, 0]
+
+
+def test_moves_at_a_vertex_without_edges_change_nothing():
+    # vertex 2 has no edges, so it is in neither the degree nor the adjacency table
+    g = Multigraph(3, {(0, 1): 1})
+    c = [1, -1, 5]
+    assert fire(g, c, 2) == fire(g, c, 2, -3) == c
+    assert replay_log(g, c, [(2, 4), (0, 1), (2, -1)]) == [0, 0, 5]
+
+
 def test_large_stack_builds_and_replays_in_linear_time():
     start = time.perf_counter()
     sg = polygon_stack((4,) * 3000)

@@ -231,6 +231,8 @@ def test_delete_edges():
         delete_edges(g, 0, 1, 4)
     with pytest.raises(ValueError, match=re.escape("vertices (0,7) out of range for n=4")):
         delete_edges(cycle_graph(4), 0, 7)
+    with pytest.raises(ValueError, match="edge endpoints must be distinct"):
+        delete_edges(cycle_graph(4), 1, 1)
 
 
 def test_graph_text_roundtrip():
