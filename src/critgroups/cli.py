@@ -51,11 +51,10 @@ from .graphs import (
     polygon_stack,
 )
 from .recurrences import (
+    _last_counts,
     alternating_tables,
     constant_k_closed_form,
     constant_k_table,
-    forest_count,
-    tree_count,
 )
 from .verify import (
     _tree_count,
@@ -242,9 +241,8 @@ def cmd_equiv(args, inp: Inputs) -> Output:
 
 def cmd_seq(args, inp: Inputs) -> Output:
     if inp.spec is not None:
-        counts = {"T": str(tree_count(inp.spec))}
-        if inp.spec:
-            counts["F"] = str(forest_count(inp.spec))
+        prev, t = _last_counts(inp.spec)  # T and F = T - T_{r-1} from one pass
+        counts = {"T": str(t), "F": str(t - prev)} if inp.spec else {"T": str(t)}
         return Output(counts, [f"{k}: {v}" for k, v in counts.items()])
     if args.const is not None:
         if args.closed_form:

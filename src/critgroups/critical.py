@@ -11,8 +11,9 @@ of a class with coordinates w_i is the lcm of the d_i / gcd(d_i, w_i);
 two configurations of one degree are equivalent when each d_i divides the
 coordinate w_i of their difference, which is tested one coordinate at a
 time; and the pair scan takes a gcd of the coordinates scaled into Z/e, e
-the exponent, one coordinate at a time. Chip counts that are not integers
-are refused by name.
+the exponent, one coordinate at a time, in one loop for every rank, and
+appends each pair's report, a slotted dataclass. Chip counts that are not
+integers are refused by name.
 
 `critical_group` factors L once, by `linalg._factor_laplacian`, which
 gives |K| and a solve for adj(L) b, and solves columns with it: first the
@@ -237,7 +238,7 @@ def are_equivalent(kg: CriticalGroup, c1: Sequence[int], c2: Sequence[int]) -> b
     return True
 
 
-@dataclass
+@dataclass(slots=True)
 class PairReport:
     x: int
     y: int
@@ -262,21 +263,26 @@ def _pair_reports(kg: CriticalGroup) -> list[PairReport]:
     """`pair_report` for every pair. Coordinate i, scaled by e/d_i for the
     exponent e = d_r, maps K into Z/e, and the order of w is the lcm of the
     d_i / gcd(d_i, w_i) = e / gcd(e, w_i e/d_i), which is
-    e / gcd(e, w_1 e/d_1, ..., w_r e/d_r). For each x, the gcds of the
-    pairs (x, y > x) are taken one coordinate row at a time, one
-    two-argument gcd a pair and row, so a cyclic group costs one gcd a
-    pair; the rows stop once every gcd at x is 1."""
-    e = kg.invariant_factors[-1] if kg.invariant_factors else 1
-    scaled = [[x * (e // d) for x in row] for d, row in zip(kg.invariant_factors, kg.rows)]
-    n, reports = kg.n, []
-    for x in range(n):
-        hs = [e] * (n - x - 1)  # gcd(e, w_1, ..., w_i) of the pairs (x, y > x) so far
-        for row in scaled:
-            a = row[x]
-            hs = [gcd(h, a - b) for h, b in zip(hs, row[x + 1:])]
+    e / gcd(e, w_1 e/d_1, ..., w_r e/d_r). One loop serves every rank: for
+    each x, the gcds of the pairs (x, y > x) start from the first scaled
+    row, a row of zeros with e = 1 for the trivial group, and each later
+    row is folded in, one two-argument gcd a pair, only while some gcd at
+    x is above 1; so a cyclic group costs one gcd a pair. The reports,
+    slotted dataclasses, are appended one at a time."""
+    e, order = (kg.invariant_factors or [1])[-1], kg.order
+    first, *rest = [[x * (e // d) for x in row] for d, row in zip(kg.invariant_factors, kg.rows)] or [[0] * kg.n]
+    append = (reports := []).append
+    for x, a in enumerate(first):
+        hs = [gcd(e, a - b) for b in first[x + 1:]]  # gcd(e, w_1, ..., w_i) of the pairs (x, y > x)
+        for row in rest:
             if hs.count(1) == len(hs):  # every pair at x already has order e
                 break
-        reports += [PairReport(x, y, o, o == kg.order) for y, o in zip(range(x + 1, n), [e // h for h in hs])]
+            a = row[x]
+            hs = [gcd(h, a - b) for h, b in zip(hs, row[x + 1:])]
+        y = x
+        for h in hs:
+            y += 1
+            append(PairReport(x, y, o := e // h, o == order))
     return reports
 
 

@@ -134,13 +134,23 @@ def _prefix_counts(spec: Sequence[int]) -> list[int]:
     return counts[1:]
 
 
+def _last_counts(spec: Sequence[int]) -> tuple[int, int]:
+    """(T_{r-1}, T_r) for the r-entry spec, by the recurrence of
+    `_prefix_counts` keeping only its last two terms, so memory stays
+    linear in the size of T_r."""
+    prev, t = 0, 1
+    for k in spec:
+        prev, t = t, k * t - prev
+    return prev, t
+
+
 def tree_count(ks: Sequence[int]) -> int:
     """Spanning trees of the polygon stack (k_1, ..., k_n).
 
     Uses the two-term recurrence T(k_1..k_n) = k_n*T(k_1..k_{n-1}) -
     T(k_1..k_{n-2}) seeded with T() = 1 and T(k_1) = k_1.
     """
-    return _prefix_counts(check_stack_spec(ks))[-1]
+    return _last_counts(check_stack_spec(ks))[1]
 
 
 def forest_count(ks: Sequence[int]) -> int:
@@ -149,8 +159,8 @@ def forest_count(ks: Sequence[int]) -> int:
     spec = check_stack_spec(ks)
     if not spec:
         raise ValueError("forest count needs a nonempty stack spec")
-    p = _prefix_counts(spec)
-    return p[-1] - p[-2]
+    prev, t = _last_counts(spec)
+    return t - prev
 
 
 def constant_k_table(k: int, n_max: int) -> SequenceTable:

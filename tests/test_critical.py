@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import random
 import re
 from collections import deque
@@ -13,6 +15,7 @@ from critgroups import (
     CriticalGroup,
     IntMatrix,
     Multigraph,
+    PairReport,
     add_path,
     are_equivalent,
     complete_graph,
@@ -520,6 +523,48 @@ def test_pair_scan_matches_pair_report():
                 assert critical._pair_reports(kg) == want
             assert find_generating_pairs(g) == want
     assert critical_group(cases[3][1]).invariant_factors == [2, 2, 12]
+
+
+def test_pair_scan_property():
+    """The scan against `pair_report` on hypothesis inputs, each at a drawn
+    deleted vertex q: seeded `random_connected_multigraph` graphs and
+    polygon stacks of 2- to 6-gons. The inputs reach rank 0 (trees), rank 1
+    and rank 2 or more, and stacks with a triangle on top."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    seen = set()
+    graphs = st.one_of(
+        st.builds(lambda seed, n, extra: ("random", random_connected_multigraph(random.Random(seed), n, extra)),
+                  st.integers(0, 2**32), st.integers(2, 9), st.integers(0, 3)),
+        st.lists(st.integers(2, 6), min_size=1, max_size=6).map(lambda spec: (spec[-1], polygon_stack(spec).graph)),
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(graphs, st.data())
+    def check(case, data):
+        top, g = case
+        kg = critical_group(g, data.draw(st.integers(0, g.n - 1)))
+        seen.update({f"rank {min(len(kg.invariant_factors), 2)}", f"top {top}"})
+        assert critical._pair_reports(kg) == [pair_report(kg, x, y) for x in range(g.n) for y in range(x + 1, g.n)]
+
+    check()
+    assert seen >= {"rank 0", "rank 1", "rank 2", "top 3"}
+
+
+def test_pair_report_surface():
+    """`PairReport` is a slotted dataclass with four fields in this order,
+    compared by value and shown by the dataclass repr, and it survives
+    `dataclasses.replace` and a pickle round trip at protocols 2 and up."""
+    assert [f.name for f in dataclasses.fields(PairReport)] == ["x", "y", "element_order", "generates"]
+    assert PairReport.__slots__ == ("x", "y", "element_order", "generates")
+    rep = pair_report(critical_group(polygon_stack((3, 4)).graph), 3, 4)
+    assert rep == PairReport(3, 4, 11, True) != PairReport(3, 4, 11, False)
+    assert repr(rep) == "PairReport(x=3, y=4, element_order=11, generates=True)"
+    assert dataclasses.replace(rep, y=2, generates=False) == PairReport(3, 2, 11, False)
+    assert rep == PairReport(3, 4, 11, True)  # replace made a copy
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(rep, protocol))
+        assert back == rep and back is not rep
 
 
 def test_queries_match_smith_rows_by_rank():

@@ -1,9 +1,11 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import critgroups.recurrences as recurrences
 from critgroups import (
     QuadraticNumber,
     alternating_tables,
@@ -36,6 +38,31 @@ def test_tree_count_matches_determinant():
     for spec in [(3, 3, 4, 4), (3, 4, 3, 4), (2, 2, 4, 2, 2), (5, 4, 3), (6, 2, 5)]:
         g = polygon_stack(spec).graph
         assert tree_count(spec) == abs(determinant(reduced_laplacian(g, g.n - 1)))
+
+
+def test_tree_count_memory_is_linear():
+    """`tree_count` and `forest_count` keep the last two terms only. On
+    20,000 4-gons every T_i >= 3 T_{i-1}, so T_i has at least i log2(3)
+    bits and the list of every prefix count holds over 39 MB; the two
+    counts peak under 1% of that. On seeded specs with 2-gons among the
+    sizes they equal the prefix list's last term and last difference."""
+    spec = (4,) * 20000
+    prefix_bytes = sum(i * 1.58 / 8 for i in range(len(spec) + 1))
+    tracemalloc.start()
+    try:
+        t, f = tree_count(spec), forest_count(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prefix_bytes > 39e6 and peak < prefix_bytes / 100
+    assert t.bit_length() > 20000 * 1.58 and 0 < f < t
+    rng = random.Random(1)
+    specs = [[rng.randint(2, 7) for _ in range(rng.randint(1, 40))] for _ in range(200)]
+    assert sum(2 in s for s in specs) > 100
+    for s in specs:
+        p = recurrences._prefix_counts(s)
+        assert (tree_count(s), forest_count(s)) == (p[-1], p[-1] - p[-2])
+    assert tree_count(()) == recurrences._prefix_counts(())[-1] == 1
 
 
 def test_forest_count_examples():
