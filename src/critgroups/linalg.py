@@ -22,7 +22,12 @@ one column, from b's first nonzero entry on, so a unit column e_c costs
 the forward steps after c only, and the search in `verify` reads the
 whole adjugate with `_adjugate`, and edge deletions, element orders and
 cyclicity off det and adj by formula. Its graphs are connected:
-`lorenzini_check` refuses a disconnected one before it eliminates.
+`lorenzini_check` refuses a disconnected one before it eliminates. The
+substitutions index y and the rows in place and slice neither: on
+matrices of at most 8 rows, those of the search's samples on up to 9
+vertices, copying two slices for each row's products made `_adjugate`
+cost about half as much again, and on large matrices the big-integer
+products dominate either way.
 
 A graph's reduced Laplacian L has one entry, `_factor_laplacian`, which
 gives det L and a solve b -> adj(L) b; `critical_group` and the tree count
@@ -32,10 +37,10 @@ edge list, fraction-free in a minimum-degree order and with lazy scaling
 per entry, so that its work follows the fill, not n^3. The kernel is
 chosen once, from the number of edges: when the sparse kernel's
 estimated work, weighted by its higher cost per entry, exceeds the dense
-kernel's m^3 / 6 for an m x m L, `_laplacian` builds L's dense rows, and
-they go through `_eliminate` and `_solve`. Inside the package a matrix
-travels as its list of rows; `IntMatrix` is only what the public functions
-take and return.
+kernel's m^3 / 6 for an m x m L, `_laplacian` builds L's dense rows from
+the edge table alone, and they go through `_eliminate` and `_solve`.
+Inside the package a matrix travels as its list of rows; `IntMatrix` is
+only what the public functions take and return.
 
 Everything runs on Python's arbitrary-precision ints; reduced-Laplacian
 minors overflow 64 bits almost immediately, so there is deliberately no
@@ -48,7 +53,7 @@ from dataclasses import dataclass
 from itertools import chain, zip_longest
 from math import gcd, prod
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .graphs import _int, _ints
 from .sparse import _sparse_factor
@@ -203,9 +208,13 @@ def _back(m: list[list[int]], y: list[int], start: int) -> list[int]:
     entry already, so start stays below n - 1 and a singular a, whose last
     pivot d is 0, divides by no zero."""
     d = m[-1][-1] if m else 0
+    n = len(y)
     for i in range(start, -1, -1):
         row = m[i]
-        y[i] = (d * y[i] - sum(map(mul, row[i + 1:], y[i + 1:]))) // row[i]
+        s = d * y[i]
+        for j in range(i + 1, n):
+            s -= row[j] * y[j]
+        y[i] = s // row[i]
     return y
 
 
@@ -227,10 +236,12 @@ def _solve(m: list[list[int]], symmetric: bool, b: Sequence[int]) -> list[int]:
     y = list(b)
     s = next((i for i, x in enumerate(y) if x), 0)
     prev = m[s - 1][s - 1] if s else 1
-    y[s:] = [x * prev for x in y[s:]]
+    for i in range(s, n):
+        y[i] *= prev
     for k in range(s, n - 1):
         top, p, yk = m[k], m[k][k], y[k]
-        y[k + 1:] = [(x * p - f * yk) // prev for x, f in zip(y[k + 1:], top[k + 1:])]
+        for i in range(k + 1, n):
+            y[i] = (y[i] * p - top[i] * yk) // prev
         prev = p
     return _back(m, y, n - 2)
 
@@ -248,7 +259,10 @@ def _adjugate(m: list[list[int]], symmetric: bool) -> list[list[int]]:
     n = len(m)
     adj: list[list[int]] = [[]] * n
     for c in range(n - 1, -1, -1):
-        y = [0] * c + [m[c - 1][c - 1] if c else 1] + [col[c] for col in adj[c + 1:]]
+        y = [0] * n
+        y[c] = m[c - 1][c - 1] if c else 1
+        for j in range(c + 1, n):
+            y[j] = adj[j][c]
         adj[c] = _back(m, y, min(c, n - 2))
     return adj
 
@@ -264,26 +278,32 @@ def determinant(a: IntMatrix) -> int:
     return _eliminate(a.to_rows())[0]
 
 
-def _laplacian(g, q: int) -> list[list[int]]:
-    """Rows of the reduced Laplacian of the multigraph g at vertex q,
-    filled from the degrees and the edge table, with no connectivity
-    check: its determinant is the spanning-tree count, 0 exactly when g is
-    disconnected (no rows, determinant 1, for one vertex). The rows are
-    dense, so a caller checks first that g is connected or, as
-    `_factor_laplacian` does, that it has a spanning tree's worth of edges."""
+def _laplacian(n: int, edges: Mapping[tuple[int, int], int], q: int) -> list[list[int]]:
+    """Rows of the reduced Laplacian at vertex q of the multigraph on n
+    vertices whose edge table is `edges`, (u, v) -> multiplicity, filled
+    from the table alone, the degrees included, with no connectivity
+    check: its determinant is the spanning-tree count, 0 exactly when the
+    graph is disconnected (no rows, determinant 1, for one vertex). The
+    rows are dense, so a caller checks first that the graph is connected
+    or, as `_factor_laplacian` does, that it has a spanning tree's worth of
+    edges."""
     q = _int(q, "q")
-    if not (0 <= q < g.n):
-        raise ValueError(f"vertex {q} out of range for n={g.n}")
-    m = g.n - 1
+    if not (0 <= q < n):
+        raise ValueError(f"vertex {q} out of range for n={n}")
+    m = n - 1
     rows = [[0] * m for _ in range(m)]
-    for v, d in g._deg.items():  # a vertex with no edges keeps its 0
-        if v != q:
-            i = v - (v > q)
-            rows[i][i] = d
-    for (u, v), mult in g._edges.items():  # in any order: the rows do not depend on it
-        if q not in (u, v):
+    for (u, v), mult in edges.items():  # in any order: the rows do not depend on it
+        if u == q:
+            j = v - (v > q)
+            rows[j][j] += mult
+        elif v == q:
+            i = u - (u > q)
+            rows[i][i] += mult
+        else:
             i, j = u - (u > q), v - (v > q)
             rows[i][j] = rows[j][i] = -mult
+            rows[i][i] += mult
+            rows[j][j] += mult
     return rows
 
 
@@ -322,7 +342,7 @@ def _factor_laplacian(g, q: int) -> tuple[int, Callable[[Sequence[int]], list[in
         return 0, None
     m = g.n - 1
     if m and 2 * e * e / m + e > m * m * m / 6 / _SPARSE_COST:
-        det, tri, symmetric = _eliminate(_laplacian(g, q))
+        det, tri, symmetric = _eliminate(_laplacian(g.n, g._edges, q))
         return (det, lambda b: _solve(tri, symmetric, b)) if det else (0, None)
     # sorted, so that the minimum-degree order breaks its ties the same way on equal graphs
     return _sparse_factor(g.n, g.edge_items(), q)

@@ -18,8 +18,9 @@ first edge mask of each relabeling orbit, closed under the transpositions
 (0 i), and weights its counts by the orbit's size n!/|Aut G|, so they equal
 the labeled enumeration's; a report names the class representative. A
 random sample has weight 1. Sampled graphs and class representatives are
-tested for connectivity on the drawn edge table, so one Multigraph is built
-per graph; the sampler checks the random search's bounds before it draws.
+tested for connectivity on the drawn edge table, and the search scans that
+table, (n, edges), as drawn: it builds a Multigraph only for a report. The
+sampler and the search check the random search's bounds before they draw.
 
 The search cannot report a pair: with b = e_x - e_y, gcd(det L, adj L b)
 divides F = b^T adj L b, and a coprime deletion has gcd(det L, c F) = 1. Its
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, gcd, lcm, prod
 from operator import sub
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .critical import delta_config, reduced_laplacian
 from .graphs import Multigraph, _connected, _int, _key, delete_edges, is_connected
@@ -116,16 +117,17 @@ def _tree_count(g: Multigraph) -> int:
     return linalg._factor_laplacian(g, g.n - 1)[0]
 
 
-def _adjugate(g: Multigraph) -> tuple[int, list[list[int]]]:
-    """det L and adj L for the Laplacian L of a connected g reduced at its
-    last vertex q, indexed by vertex: adj L is read off the triangle of one
-    symmetric elimination of L's rows, and a zero row and column are added
-    at q. Callers refuse a disconnected g, whose dense rows are not built."""
-    det, tri, symmetric = linalg._eliminate(_laplacian(g, g.n - 1))
+def _adjugate(n: int, edges: Mapping[tuple[int, int], int]) -> tuple[int, list[list[int]]]:
+    """det L and adj L for the Laplacian L of the connected multigraph on
+    n vertices with edge table `edges`, reduced at its last vertex q,
+    indexed by vertex: adj L is read off the triangle of one symmetric
+    elimination of L's rows, and a zero row and column are added at q.
+    Callers refuse a disconnected graph, whose dense rows are not built."""
+    det, tri, symmetric = linalg._eliminate(_laplacian(n, edges, n - 1))
     adj = linalg._adjugate(tri, symmetric)
     for row in adj:
         row.append(0)
-    adj.append([0] * g.n)
+    adj.append([0] * n)
     return det, adj
 
 
@@ -163,7 +165,7 @@ def lorenzini_check(g: Multigraph, x: int, y: int) -> LorenziniReport:
         raise ValueError(f"vertices {x} and {y} must be joined by at least one edge")
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    det, adj = _adjugate(g)
+    det, adj = _adjugate(g.n, g._edges)
     order_g1 = _deletion_count(det, adj, x, y, c)
     connected = order_g1 > 0
     return LorenziniReport(
@@ -258,9 +260,16 @@ def _check_sample_bounds(max_vertices: int, max_extra_edges: int) -> tuple[int, 
 def random_connected_multigraph(rng: random.Random, max_vertices: int, max_extra_edges: int) -> Multigraph:
     """Seeded sample: Erdos-Renyi simple graph conditioned on connectivity,
     decided on the drawn edge table, then up to max_extra_edges multiplicity
-    bumps on random vertex pairs; one graph is built. The random search's
-    bounds (2 to 200 vertices, 0 to 100,000 bumps) are checked before any draw."""
-    max_vertices, max_extra_edges = _check_sample_bounds(max_vertices, max_extra_edges)
+    bumps on random vertex pairs; one graph is built, from `_draw_sample`'s
+    table. The random search's bounds (2 to 200 vertices, 0 to 100,000
+    bumps) are checked before any draw."""
+    return Multigraph(*_draw_sample(rng, *_check_sample_bounds(max_vertices, max_extra_edges)))
+
+
+def _draw_sample(rng: random.Random, max_vertices: int, max_extra_edges: int) -> tuple[int, dict[tuple[int, int], int]]:
+    """The body of `random_connected_multigraph`, for bounds already
+    checked: (n, edge table), the table's keys (u, v) with u < v and its
+    values multiplicities of at least 1, so it is a valid Multigraph's."""
     n = rng.randint(2, max_vertices)
     pairs = _vertex_pairs(n)
     while True:
@@ -272,7 +281,7 @@ def random_connected_multigraph(rng: random.Random, max_vertices: int, max_extra
         u, v = rng.sample(range(n), 2)
         key = (u, v) if u < v else (v, u)
         edges[key] = edges.get(key, 0) + 1
-    return Multigraph(n, edges)
+    return n, edges
 
 
 def _check_labeled_bound(max_vertices: int) -> int:
@@ -376,21 +385,24 @@ class SearchOutcome:
     params: dict = field(default_factory=dict)
 
 
-def _scan(g: Multigraph) -> tuple[int, int, list[tuple[int, int]]]:
-    """The edges of g examined, how many have a coprime deletion, and the
-    coprime ones whose delta configuration does not generate, from one
-    adjugate. Generation is tested only for coprime deletions."""
-    det, adj = _adjugate(g)
-    items = g.edge_items()
+def _scan(n: int, edges: Mapping[tuple[int, int], int]) -> tuple[int, int, list[tuple[int, int]]]:
+    """The distinct edges examined of the connected multigraph on n
+    vertices with edge table `edges`, how many have a coprime deletion,
+    and the coprime ones whose delta configuration does not generate, in
+    sorted order, from one adjugate. The table is read as drawn, so no
+    Multigraph is built or validated; generation is tested only for
+    coprime deletions."""
+    det, adj = _adjugate(n, edges)
     coprime = 0
     bad = []
-    for (x, y), c in items:
+    for (x, y), c in edges.items():
         order_g1 = _deletion_count(det, adj, x, y, c)
         if order_g1 > 0 and gcd(det, order_g1) == 1:
             coprime += 1
             if not _delta_generates(det, adj, x, y):
                 bad.append((x, y))
-    return len(items), coprime, bad
+    bad.sort()
+    return len(edges), coprime, bad
 
 
 def coprime_pair_search(
@@ -414,8 +426,12 @@ def coprime_pair_search(
     Exhaustive mode scans one graph per isomorphism class and weights its
     counts by the class's relabeling orbit, n!/|Aut G| labeled graphs, so
     its counts are those of the labeled enumeration; a random sample has
-    weight 1. A report is (scanned graph, pair): in exhaustive mode the
-    graph is the class representative, the least edge mask of its orbit.
+    weight 1. Bounds are checked once, here; the scan reads each sample's
+    edge table as `_draw_sample` draws it, or a class representative's
+    table, and builds a Multigraph only for a report. A report is (scanned
+    graph, pair), in the order of the graph's sorted edges: in exhaustive
+    mode the graph is the class representative, the least edge mask of
+    its orbit.
 
     No report is possible: F = b^T adj(L) b, with b = e_x - e_y, is an
     integer combination of the entries of adj(L) b, so gcd(det, adj(L) b)
@@ -439,21 +455,23 @@ def coprime_pair_search(
         "trials": trials,
         "exhaustive": exhaustive,
     }
-    units: Iterator[tuple[Multigraph, int]]
+    units: Iterator[tuple[int, dict[tuple[int, int], int], int]]
     if exhaustive:
-        units = _relabeling_classes(max_vertices)
+        units = ((g.n, g._edges, weight) for g, weight in _relabeling_classes(max_vertices))
     else:
         # Samples are drawn as the scan reaches them; the scan takes nothing from rng.
         rng = random.Random(seed)
-        units = ((random_connected_multigraph(rng, max_vertices, max_extra_edges), 1) for _ in range(trials))
+        units = ((*_draw_sample(rng, max_vertices, max_extra_edges), 1) for _ in range(trials))
     examined = 0
     coprime_count = 0
     counterexamples: list[tuple[Multigraph, tuple[int, int]]] = []
-    for g, weight in units:
-        edges, coprime, bad = _scan(g)
-        examined += weight * edges
+    for n, edges, weight in units:
+        scanned, coprime, bad = _scan(n, edges)
+        examined += weight * scanned
         coprime_count += weight * coprime
-        counterexamples += [(g, pair) for pair in bad]
+        if bad:
+            g = Multigraph(n, edges)
+            counterexamples += [(g, pair) for pair in bad]
     return SearchOutcome(examined, coprime_count, counterexamples, seed, params)
 
 

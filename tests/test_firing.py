@@ -252,19 +252,23 @@ def test_large_stack_builds_and_replays_in_linear_time():
     assert time.perf_counter() - start < 1.0
     assert sg.graph.n == 6002
 
-    def per_move(levels):
+    cases = []
+    for levels in (300, 3000):
         sg = polygon_stack((4,) * levels)
         rng = random.Random(levels)
         c = [rng.randint(-3, 3) for _ in range(sg.graph.n)]
         c[0] -= sum(c)
         out, log = reduce_to_pair(sg, c, 0)
-        best = float("inf")
-        for _ in range(3):
+        cases.append((sg.graph, c, log, out))
+    # The two sizes' replays alternate, so a slow spell of the host reaches
+    # both, and each keeps its best of 9 per move.
+    best = [float("inf")] * 2
+    for _ in range(9):
+        for k, (g, c, log, out) in enumerate(cases):
             start = time.perf_counter()
-            assert replay_log(sg.graph, c, log) == out
-            best = min(best, time.perf_counter() - start)
-        return best / len(log)
+            assert replay_log(g, c, log) == out
+            best[k] = min(best[k], (time.perf_counter() - start) / len(log))
 
     # a replay that copied the configuration per move would cost ten times
     # as much per move on the stack ten times as large
-    assert per_move(3000) < 4 * per_move(300)
+    assert best[1] < 4 * best[0]

@@ -192,7 +192,7 @@ def test_lorenzini_path_orders_match_tree_identities():
             for length in lengths:
                 rep = lorenzini_path_check(g, x, y, length)
                 gp = add_path(g, x, y, length)
-                det, adj = _adjugate(gp)
+                det, adj = _adjugate(gp.n, gp._edges)
                 chain = [x, *range(g.n, g.n + length - 1), y]
                 pairs = list(zip(chain, chain[1:]))
                 assert rep.order_g_prime == det
@@ -224,19 +224,52 @@ def test_coprime_pair_search_determinism():
 
 
 def test_random_search_draws_samples_as_it_scans(monkeypatch):
-    """Each sample is drawn just before it is scanned, so no list of all
-    `trials` graphs is held; the samples are those of one seeded stream."""
+    """Each sample's edge table is drawn just before it is scanned, so no
+    list of all `trials` graphs is held; the samples are those of one
+    seeded stream."""
     import critgroups.verify as verify
 
     events = []
-    draw, adjugate = verify.random_connected_multigraph, verify._adjugate
-    monkeypatch.setattr(verify, "random_connected_multigraph", lambda *a: events.append("draw") or draw(*a))
-    monkeypatch.setattr(verify, "_adjugate", lambda g: events.append("scan") or adjugate(g))
+    draw, adjugate = verify._draw_sample, verify._adjugate
+    monkeypatch.setattr(verify, "_draw_sample", lambda *a: events.append("draw") or draw(*a))
+    monkeypatch.setattr(verify, "_adjugate", lambda n, edges: events.append("scan") or adjugate(n, edges))
     outcome = coprime_pair_search(6, 1, trials=4, seed=5)
     assert events == ["draw", "scan"] * 4
     rng = random.Random(5)
-    samples = [draw(rng, 6, 1) for _ in range(4)]
+    samples = [random_connected_multigraph(rng, 6, 1) for _ in range(4)]
     assert outcome.examined == sum(len(g.edge_items()) for g in samples)
+
+
+def test_scan_of_drawn_tables_matches_tree_counts_and_pair_reports():
+    """The scan of each drawn edge table against independent answers: 300
+    seeded samples on up to 9 vertices with up to 2 bumps, and 40 on up to
+    20 vertices with up to 6. Its examined and coprime counts are those of
+    the tree count of each deleted graph, `_delta_generates` is
+    `pair_report` on the critical group for every coprime edge, and the
+    sampler builds Multigraph(*draw) from the same stream as the draw."""
+    import critgroups.verify as verify
+    from critgroups import pair_report
+
+    generating = 0
+    for seed, (max_vertices, max_extra_edges, trials) in enumerate(((9, 2, 300), (20, 6, 40))):
+        drawn, built = random.Random(seed), random.Random(seed)
+        for _ in range(trials):
+            n, edges = verify._draw_sample(drawn, max_vertices, max_extra_edges)
+            g = random_connected_multigraph(built, max_vertices, max_extra_edges)
+            assert g == Multigraph(n, edges) and drawn.getstate() == built.getstate()
+            examined, coprime, bad = verify._scan(n, edges)
+            order = verify._tree_count(g)
+            coprime_edges = [(x, y) for (x, y), _ in g.edge_items()
+                             if (t1 := verify._tree_count(delete_edges(g, x, y))) > 0 and gcd(order, t1) == 1]
+            assert (examined, coprime, bad) == (len(g.edge_items()), len(coprime_edges), [])
+            det, adj = verify._adjugate(n, edges)
+            kg = critical_group(g)
+            assert det == order == kg.order
+            for x, y in coprime_edges:
+                generates = verify._delta_generates(det, adj, x, y)
+                assert generates is pair_report(kg, x, y).generates
+                generating += generates
+    assert generating > 1000
 
 
 def test_coprime_pair_search_exhaustive_small(monkeypatch):
@@ -246,7 +279,7 @@ def test_coprime_pair_search_exhaustive_small(monkeypatch):
 
     scanned = []
     adjugate = verify._adjugate
-    monkeypatch.setattr(verify, "_adjugate", lambda g: scanned.append(g) or adjugate(g))
+    monkeypatch.setattr(verify, "_adjugate", lambda n, edges: scanned.append(n) or adjugate(n, edges))
     outcome = coprime_pair_search(5, exhaustive=True)
     assert (outcome.examined, outcome.coprime_instances) == (4294, 2265)
     assert len(scanned) == 31
@@ -310,7 +343,7 @@ def test_exhaustive_reports_match_labeled_loop(monkeypatch):
     def labeled_scan(graphs):
         examined, coprime, reports = 0, 0, []
         for g in graphs:
-            det, adj = verify._adjugate(g)
+            det, adj = verify._adjugate(g.n, g._edges)
             for (x, y), c in g.edge_items():
                 examined += 1
                 order_g1 = verify._deletion_count(det, adj, x, y, c)
@@ -426,7 +459,8 @@ def test_seeded_samples_are_pinned(max_vertices, max_extra_edges, digest):
 
 def test_generators_build_one_graph_per_result(monkeypatch):
     """Connectivity is decided on the drawn edge table, so a rejected
-    candidate builds no graph."""
+    candidate builds no graph, and the random search, which scans each
+    sample's table, builds none at all when it reports nothing."""
     import critgroups.verify as verify
 
     builds = []
@@ -442,6 +476,9 @@ def test_generators_build_one_graph_per_result(monkeypatch):
     rng = random.Random(1)
     samples = [random_connected_multigraph(rng, 9, 2) for _ in range(40)]
     assert len(builds) == 40 and all(is_connected(g) for g in samples)
+    builds.clear()
+    assert coprime_pair_search(9, 2, trials=80, seed=3).examined == 774
+    assert builds == []
 
 
 def test_sampler_checks_its_own_bounds():
@@ -520,7 +557,7 @@ def test_adjugate_formulas_property():
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @hypothesis.given(_connected_multigraphs())
     def check(g):
-        det, adj = _adjugate(g)
+        det, adj = _adjugate(g.n, g._edges)
         kg = critical_group(g)
         assert det == kg.order
         assert _is_cyclic(adj) is is_cyclic(kg)
