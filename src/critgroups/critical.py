@@ -20,7 +20,7 @@ gives |K| and a solve for adj(L) b, and solves columns with it: first the
 unit column of L's last row, then seeded ones. On a sparse graph, such as
 a polygon stack, the factorization is a fraction-free elimination in a
 minimum-degree order; on a dense one it is the dense symmetric Bareiss
-elimination, three pivots a pass; either gives the same columns. They map
+elimination, four pivots a pass; either gives the same columns. They map
 K into a sum of copies of Z/|K|. The first column alone maps K onto
 Z/|K|, and so certifies K cyclic with no Smith step, exactly when the
 class of delta(v, q), v the vertex of L's last row, generates K, as it

@@ -23,7 +23,7 @@ MoveLog = list[tuple[int, int]]
 
 def degree(c: Sequence[int]) -> int:
     """Total number of chips."""
-    return sum(c)
+    return sum(_ints(c, "chip count at vertex {}"))
 
 
 def parse_configuration(text: str) -> list[int]:

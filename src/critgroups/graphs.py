@@ -58,7 +58,7 @@ class Multigraph:
     """
 
     def __init__(self, n: int, edges: Mapping[tuple[int, int], int] | Iterable = ()):
-        n = index(n)
+        n = _int(n, "n")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         self.n = n
@@ -98,17 +98,17 @@ class Multigraph:
         return adj
 
     def multiplicity(self, u: int, v: int) -> int:
-        return self._edges.get(_key(u, v), 0)
+        return self._edges.get(_key(_int(u, "u"), _int(v, "v")), 0)
 
     def degree(self, v: int) -> int:
-        return self._deg.get(v, 0)
+        return self._deg.get(_int(v, "v"), 0)
 
     def neighbors(self, v: int) -> list[int]:
-        return sorted((self._adj or self._build_adj()).get(v, ()))
+        return sorted((self._adj or self._build_adj()).get(_int(v, "v"), ()))
 
     def incident(self, v: int) -> list[tuple[int, int]]:
         """Sorted (neighbor, multiplicity) pairs for vertex v."""
-        return sorted((self._adj or self._build_adj()).get(v, {}).items())
+        return sorted((self._adj or self._build_adj()).get(_int(v, "v"), {}).items())
 
     def edge_items(self) -> list[tuple[tuple[int, int], int]]:
         """Sorted ((u, v), multiplicity) pairs with u < v."""
@@ -201,6 +201,7 @@ def wedge_sum(g1: Multigraph, v1: int, g2: Multigraph, v2: int) -> Multigraph:
     to g1.n + w (minus one if w > v2), so g2's remaining vertices occupy
     g1.n .. g1.n + g2.n - 2 in their original order.
     """
+    v1, v2 = _int(v1, "v1"), _int(v2, "v2")
     if not (0 <= v1 < g1.n):
         raise ValueError(f"vertex {v1} out of range for first graph (n={g1.n})")
     if not (0 <= v2 < g2.n):

@@ -12,14 +12,16 @@ columns that `critical_group` certifies groups with.
 
 On a symmetric matrix, such as every reduced Laplacian, `_eliminate`
 updates only the upper triangle, which about halves its work, and takes
-three pivots per pass by Bareiss's three-step update, which makes four
-products and one division per entry where three single steps make six
-and three; a zero pivot mirrors the upper triangle into the lower one and
-the elimination goes on with row swaps. A symmetric elimination with no
-swap keeps its multipliers in its triangle, and one back-substitution
-loop, `_back`, reads everything else off it: `_solve` gives adj(a) b for
-one column, from b's first nonzero entry on, so a unit column e_c costs
-the forward steps after c only, and the search in `verify` reads the
+four pivots a pass by Bareiss's multistep update, which makes five
+products and one division per entry where four single steps make eight
+and four; the pass reads its multipliers by back substitution off its own
+finished rows, so it forms no adjugate of its pivot block. A zero pivot
+mirrors the upper triangle into the lower one and the elimination goes
+on with row swaps. A symmetric elimination with no swap keeps its
+multipliers in its triangle, and one back-substitution loop, `_back`,
+reads everything else off it: `_solve` gives adj(a) b for one column,
+from b's first nonzero entry on, so a unit column e_c costs the forward
+steps after c only, and the search in `verify` reads the
 whole adjugate with `_adjugate`, and edge deletions, element orders and
 cyclicity off det and adj by formula. Its graphs are connected:
 `lorenzini_check` refuses a disconnected one before it eliminates. The
@@ -64,6 +66,7 @@ class IntMatrix:
     and return it. Every entry must be an int: a float is refused."""
 
     def __init__(self, rows: int, cols: int, entries: Sequence[int]):
+        rows, cols = _int(rows, "rows"), _int(cols, "cols")
         if rows < 0 or cols < 0:
             raise ValueError("dimensions must be nonnegative")
         entries = _ints(entries, "entry {}")
@@ -82,6 +85,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:
+        n = _int(n, "n")
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
     def at(self, i: int, j: int) -> int:
@@ -126,28 +130,22 @@ def _eliminate(m: list[list[int]]) -> tuple[int, list[list[int]], bool]:
 
     For a symmetric a the block stays symmetric until rows are swapped. The
     elimination then updates only the upper triangle, from the diagonal
-    on, and takes three pivots per pass by Bareiss's three-step update
-    (Sylvester's identity; Bareiss, Math. Comp. 22, 1968). Let B be the
-    3 x 3 pivot block at step k, prev the pivot before it, and A =
-    adj(B) / prev, whose entries are 2 x 2 minors of the block and so
-    divide exactly. The third pivot is q = det B / prev^2 = (B_0 . A_0) /
-    prev. A row i > k + 2 whose entries in columns k..k+2 are v takes
-    w = A v / prev and
-        row_i <- (q row_i - w_0 row_k - w_1 row_{k+1} - w_2 row_{k+2}) / prev,
-    which is det(B) a_ij - v^T adj(B) u_j, u_j column j in rows k..k+2,
-    over prev^3: a bordered 4 x 4 minor. That is four products and one
-    exact division per entry for three pivots, where single steps take six
-    and three. Row k+2 takes the two-step update
-    (A_22 row_{k+2} + A_02 row_k + A_12 row_{k+1}) / prev, A_22 being the
-    second pivot, and row k+1 its single step, so each row holds its own
-    step's entries. A zero second or third pivot, or fewer than four rows
-    left, takes the single step, and a zero pivot mirrors the upper
-    triangle of the block into the lower one, after which elimination goes
-    on over full rows with swaps. Each entry is the same bordered minor
-    whichever steps produced it. An elimination that ends symmetric never
-    swapped and met no zero pivot before the last, and its row k holds the
-    multipliers of step k: entry (k, i) is entry (i, k) of that step's
-    block.
+    on, and takes four pivots a pass by `_four_pivots` while a row is left
+    below them: rows k + 1, k + 2 and k + 3 take one, two and three steps
+    from step k's block, and every row below takes all four at once by
+    Bareiss's multistep update (Math. Comp. 22, 1968), five products and
+    one division per entry where four single steps take eight and four.
+    Each division is exact, as its quotient is a bordered minor of a, and
+    the update's multipliers, minors too, come by back substitution off
+    the pass's finished rows, so no adjugate of its pivot block is formed.
+    A zero second, third or fourth pivot of a pass leaves m as it was and
+    the single step is taken, as are the last zero to three steps. A zero
+    pivot mirrors the upper triangle of the block into the lower one, after
+    which elimination goes on over full rows with swaps. Each entry is the
+    same bordered minor whichever steps produced it. An elimination that ends
+    symmetric never swapped and met no zero pivot before the last, and its
+    row k holds the multipliers of step k: entry (k, i) is entry (i, k) of
+    that step's block.
     """
     n = len(m)
     symmetric = m == list(map(list, zip(*m)))
@@ -166,27 +164,11 @@ def _eliminate(m: list[list[int]]) -> tuple[int, list[list[int]], bool]:
                 return 0, m, False
             m[k], m[i] = m[i], m[k]
             sign = -sign
+        if symmetric and k + 4 < n and (q := _four_pivots(m, k, prev)):
+            prev = q
+            k += 4
+            continue
         top, p = m[k], m[k][k]
-        if symmetric and k + 3 < n:
-            n1, n2 = m[k + 1], m[k + 2]
-            b, c, d, e, f = top[k + 1], top[k + 2], n1[k + 1], n1[k + 2], n2[k + 2]
-            a00, a01, a02 = (d * f - e * e) // prev, (c * e - b * f) // prev, (b * e - c * d) // prev
-            a11, a12, a22 = (p * f - c * c) // prev, (b * c - p * e) // prev, (p * d - b * b) // prev
-            if a22 and (q := (p * a00 + b * a01 + c * a02) // prev):
-                for i in range(k + 3, n):
-                    row, x, y, z = m[i], top[i], n1[i], n2[i]
-                    w0 = (a00 * x + a01 * y + a02 * z) // prev
-                    w1 = (a01 * x + a11 * y + a12 * z) // prev
-                    w2 = (a02 * x + a12 * y + a22 * z) // prev
-                    for j in range(i, n):
-                        row[j] = (row[j] * q - w0 * top[j] - w1 * n1[j] - w2 * n2[j]) // prev
-                for j in range(k + 2, n):
-                    n2[j] = (n2[j] * a22 + a02 * top[j] + a12 * n1[j]) // prev
-                for j in range(k + 1, n):
-                    n1[j] = (n1[j] * p - b * top[j]) // prev
-                prev = q
-                k += 3
-                continue
         for i in range(k + 1, n):
             row = m[i]
             f = top[i] if symmetric else row[k]
@@ -195,6 +177,63 @@ def _eliminate(m: list[list[int]]) -> tuple[int, list[list[int]], bool]:
         prev = p
         k += 1
     return sign * m[n - 1][n - 1], m, symmetric
+
+
+def _four_pivots(m: list[list[int]], k: int, prev: int) -> int:
+    """Steps k, ..., k + 3 of a symmetric `_eliminate` in one pass, on the
+    upper triangle of its rows m, given m[k][k] != 0, prev the pivot before
+    it and a row left below the pass. Returns the pass's last pivot q, or
+    0, with m untouched, when pivot k + 1, k + 2 or k + 3 is zero.
+
+    Let u_s be row k + s at step k and B the 4 x 4 pivot block of the u_s
+    in columns k..k+3, so that det B = prev^3 q by Sylvester's identity. A
+    row i below the pass, whose entries in those columns are v, takes
+        row_i <- (q row_i - w_0 u_0 - w_1 u_1 - w_2 u_2 - w_3 u_3) / prev
+    with w = q B^-1 v = adj(B) v / prev^3: that is det(B) a_ij - v^T adj(B)
+    u_j, the 5 x 5 bordered minor of the block, over prev^4, which is the
+    entry after step k + 3. Each w_t is a 4 x 4 minor of the block over
+    prev^3, an integer. Rows k + 1, k + 2 and k + 3 are finished first,
+    each by the same update over the one, two or three pivots above it;
+    call them r_s, with r_0 = u_0 and pivots p_s. They are B's rows after
+    row operations that leave it upper triangular, and the same operations
+    take its column i, which is v by symmetry, to the r_s[i]. So B w = q v
+    becomes a triangular system, solved as `_back` solves one:
+        w_3 = r_3[i],  w_s = (q r_s[i] - sum_{t>s} r_s[k+t] w_t) / p_s,
+    each division exact as w is integral. The finished rows are copies of
+    the u_s, put into m only once q is known to be nonzero, and the rows
+    below read the u_s."""
+    n = len(m)
+    top, u1, u2, u3 = m[k], m[k + 1], m[k + 2], m[k + 3]
+    p, b, c, d = top[k], top[k + 1], top[k + 2], top[k + 3]
+    r1 = u1[:]
+    for j in range(k + 1, n):
+        r1[j] = (u1[j] * p - b * top[j]) // prev
+    if not (p1 := r1[k + 1]):
+        return 0
+    e, f = r1[k + 2], r1[k + 3]
+    x0 = (p1 * c - b * e) // p  # r2's multipliers are x0 and e, back-substituted as below
+    r2 = u2[:]
+    for j in range(k + 2, n):
+        r2[j] = (u2[j] * p1 - x0 * top[j] - e * u1[j]) // prev
+    if not (p2 := r2[k + 2]):
+        return 0
+    g = r2[k + 3]
+    y1 = (p2 * f - e * g) // p1
+    y0 = (p2 * d - b * y1 - c * g) // p
+    r3 = u3[:]
+    for j in range(k + 3, n):
+        r3[j] = (u3[j] * p2 - y0 * top[j] - y1 * u1[j] - g * u2[j]) // prev
+    if not (q := r3[k + 3]):
+        return 0
+    for i in range(k + 4, n):
+        row, w3 = m[i], r3[i]
+        w2 = (q * r2[i] - g * w3) // p2
+        w1 = (q * r1[i] - e * w2 - f * w3) // p1
+        w0 = (q * top[i] - b * w1 - c * w2 - d * w3) // p
+        for j in range(i, n):
+            row[j] = (row[j] * q - w0 * top[j] - w1 * u1[j] - w2 * u2[j] - w3 * u3[j]) // prev
+    m[k + 1], m[k + 2], m[k + 3] = r1, r2, r3
+    return q
 
 
 def _back(m: list[list[int]], y: list[int], start: int) -> list[int]:
@@ -309,11 +348,14 @@ def _laplacian(n: int, edges: Mapping[tuple[int, int], int], q: int) -> list[lis
 
 # Cost of one entry update of `_sparse_factor`, in entry updates of the
 # dense `_eliminate`, which makes about m^3 / 6 of them on an m x m matrix
-# taking pivots singly. Measured on graphs that fill completely, against
-# the dense kernel's earlier two-step form, the sparse kernel takes 1.5 to
-# 2.5 times as long for the same count; 4 also covers its cost per step,
-# which the count leaves out, so that a graph of fewer than about 10
-# vertices goes dense whatever its shape.
+# taking pivots singly. The ratio was measured on graphs that fill
+# completely against the dense kernel when it took two pivots a pass: the
+# sparse kernel took 1.5 to 2.5 times as long for the same count. It was
+# not measured again when the dense kernel went to three and then four
+# pivots a pass, each cheaper per entry than the last, and the value is
+# kept as it was. 4 also covers the sparse kernel's cost per step, which
+# the count leaves out, so that a graph of fewer than about 10 vertices
+# goes dense whatever its shape.
 _SPARSE_COST = 4
 
 
@@ -361,7 +403,7 @@ class SnfDecomposition:
 
     def image_contains(self, b: Sequence[int]) -> bool:
         """True iff b is in the integer column span of the original matrix."""
-        c = self.u.mult_vector(b)  # which refuses a b of the wrong length
+        c = self.u.mult_vector(_ints(b, "b entry {}"))  # which refuses a b of the wrong length
         return all(ci % di == 0 if di else ci == 0 for ci, di in zip_longest(c, self.diagonal(), fillvalue=0))
 
 
@@ -580,7 +622,7 @@ def smith_rows_mod(a: IntMatrix, det: int) -> tuple[list[int], list[list[int]]]:
     """
     if a.rows != a.cols:
         raise ValueError(f"smith_rows_mod needs a square matrix, got {a.rows}x{a.cols}")
-    D = abs(det)
+    D = abs(_int(det, "det"))
     if D == 0:
         raise ValueError("smith_rows_mod needs a nonsingular matrix")
     pivots, u_row = _smith_mod(a.to_rows(), D)
@@ -593,6 +635,7 @@ def smith_rows_mod(a: IntMatrix, det: int) -> tuple[list[int], list[list[int]]]:
 
 def solve_image_membership(a: IntMatrix, b: Sequence[int]) -> bool:
     """True iff b lies in the integer column span of a."""
+    b = _ints(b, "b entry {}")
     if len(b) != a.rows:
         raise ValueError(f"vector length {len(b)} != rows {a.rows}")
     return smith_normal_form(a).image_contains(b)

@@ -86,7 +86,7 @@ class QuadraticNumber:
         return y / x
 
     def __pow__(self, exp: int):
-        if exp < 0:
+        if (exp := _int(exp, "exponent")) < 0:
             return (QuadraticNumber(1, 0, self.disc) / self) ** (-exp)
         out = QuadraticNumber(1, 0, self.disc)
         base = self

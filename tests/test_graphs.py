@@ -20,6 +20,7 @@ from critgroups import (
     constant_k_table,
     critical_group,
     cycle_graph,
+    degree,
     delete_edges,
     delta_config,
     fire,
@@ -33,6 +34,8 @@ from critgroups import (
     reduce_to_pair,
     reduced_laplacian,
     replay_log,
+    smith_rows_mod,
+    solve_image_membership,
     tree_count,
     wedge_sum,
 )
@@ -343,6 +346,19 @@ def _stack_with_edge(ks, edge, mult):
     (lambda: add_path(cycle_graph(4), 0, 2, 3.0), "length is 3.0"),
     (lambda: reduce_to_pair(polygon_stack((3, 4)), [0] * 5, 0.0), "pos is 0.0"),
     (lambda: delete_edges(cycle_graph(4), 0.5, 1), "x is 0.5"),
+    (lambda: wedge_sum(cycle_graph(3), 0, cycle_graph(3), 1.0), "v2 is 1.0"),
+    (lambda: wedge_sum(cycle_graph(3), 0.0, cycle_graph(3), 0), "v1 is 0.0"),
+    (lambda: cycle_graph(3).multiplicity(0.0, 1), "u is 0.0"),
+    (lambda: cycle_graph(3).degree(0.0), "v is 0.0"),
+    (lambda: cycle_graph(3).neighbors(1.0), "v is 1.0"),
+    (lambda: cycle_graph(3).incident(2.0), "v is 2.0"),
+    (lambda: degree([1.0, 2]), "chip count at vertex 0 is 1.0"),
+    (lambda: Multigraph(5.0, {}), "n is 5.0"),
+    (lambda: IntMatrix(2.0, 1, [1, 2]), "rows is 2.0"),
+    (lambda: IntMatrix.identity(4.0), "n is 4.0"),
+    (lambda: smith_rows_mod(IntMatrix.identity(2), 1.0), "det is 1.0"),
+    (lambda: solve_image_membership(IntMatrix.identity(2), [1.0, 0]), "b entry 0 is 1.0"),
+    (lambda: QuadraticNumber(1, 1, 2) ** 2.0, "exponent is 2.0"),
 ])
 def test_non_integers_are_refused(build, message):
     """Every count, vertex, multiplicity, chip and matrix entry goes through

@@ -195,54 +195,68 @@ def _leading_pivots(rows):
     return pivots
 
 
-def _triple_zero_pivot_cases():
-    """Symmetric matrices of 4 to 9 rows whose elimination meets a triple
-    of pivots k, k + 1, k + 2 (k a multiple of 3, with a row left below)
-    whose first pivot is nonzero and whose second or third is zero, each
-    as (rows, k, 1 or 2 for the zero's position in the triple): one small
-    example of each position, then seeded ones with small entries."""
-    yield [[1, 1, 1, 0], [1, 1, 2, 0], [1, 2, 1, 0], [0, 0, 0, 1]], 0, 1
-    yield [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 0, 2
+def _pass_zero_pivot_cases():
+    """Symmetric matrices of 5 to 13 rows whose elimination meets a pass of
+    pivots k, ..., k + 3 (k a multiple of 4, with a row left below) whose
+    first pivot is nonzero and whose second, third or fourth is zero, each
+    as (rows, k, 1, 2 or 3 for the zero's position in the pass): two for
+    every size and position. Each is L D L^T, L unit lower triangular with
+    entries in -1..1, so its leading pivots are D's entries, zero first at
+    the chosen one, plus small seeded entries in the rows and columns past
+    it, which leave those pivots alone and make most of them nonsingular."""
     rng = random.Random(1968)
-    for _ in range(1000):
-        n = rng.randint(4, 9)
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = rng.randint(-2, 2)
-        pivots = _leading_pivots(rows)
-        z = len(pivots) - 1
-        if pivots[-1] == 0 and z % 3 and z - z % 3 + 3 < n:
-            yield rows, z - z % 3, z % 3
+    for n in range(5, 14):
+        for z in range(1, n - 1):
+            k = z - z % 4
+            if not (z % 4 and k + 4 < n):
+                continue
+            for _ in range(2):
+                d = [rng.choice((-2, -1, 1, 2)) for _ in range(n)]
+                d[z] = 0
+                low = [[rng.randint(-1, 1) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+                rows = [[sum(low[i][t] * d[t] * low[j][t] for t in range(n)) for j in range(n)] for i in range(n)]
+                for i in range(n):
+                    for j in range(max(i, z + 1), n):
+                        rows[i][j] = rows[j][i] = rows[i][j] + rng.randint(-2, 2)
+                yield rows, k, z % 4
 
 
-def test_three_step_zero_pivot_matches_sympy():
-    """A zero second or third pivot of a triple leaves a zero pivot before
-    the last for the single step, so each of these eliminations swaps rows
-    or stops singular, and its triangle has no adjugate to read. Covered:
-    either position, at the first triple and a later one, and every n
-    mod 3, checked against sympy's det."""
+def test_four_pivot_zero_pivot_matches_sympy():
+    """A zero second, third or fourth pivot of a pass leaves a zero pivot
+    before the last for the single step, so each of these eliminations
+    swaps rows or stops singular, and its triangle has no adjugate to read.
+    Covered: each position, at the first pass and a later one, and every n
+    mod 4, checked against sympy's det."""
     sympy = pytest.importorskip("sympy")
     kinds = set()
-    later_triple = nonsingular = 0
-    for rows, k, position in _triple_zero_pivot_cases():
-        kinds.add((len(rows) % 3, position))
-        later_triple += k > 0
+    nonsingular = 0
+    for rows, k, position in _pass_zero_pivot_cases():
+        pivots = _leading_pivots(rows)
+        assert len(pivots) == k + position + 1 and pivots[-1] == 0
+        kinds.add((len(rows) % 4, position, k > 0))
         det, tri, symmetric = _eliminate([list(r) for r in rows])
         assert det == sympy.Matrix(rows).det()
         nonsingular += det != 0
         assert not symmetric
         with pytest.raises(ValueError, match="row swaps"):
             _adjugate(tri, symmetric)
-    assert kinds == {(r, p) for r in range(3) for p in (1, 2)} and later_triple > 0 and nonsingular > 0
+    assert kinds == {(r, p, later) for r in range(4) for p in (1, 2, 3) for later in (False, True)}
+    assert nonsingular > 0
 
 
 def _single_step(rows):
-    """The plain Bareiss elimination, one pivot a step over full rows,
-    with no swap: the reference for the upper triangle of `_eliminate`."""
+    """The plain Bareiss elimination, one pivot a step over full rows, with
+    a zero pivot's row swapped for the first row below it that is nonzero
+    in its column, as `_eliminate` swaps, and stopping where none is: the
+    reference for the upper triangle of `_eliminate`."""
     m = [list(r) for r in rows]
     prev = 1
     for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            i = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if i is None:
+                break
+            m[k], m[i] = m[i], m[k]
         p = m[k][k]
         for r in m[k + 1:]:
             f = r[k]
@@ -251,11 +265,12 @@ def _single_step(rows):
     return m
 
 
-def test_three_step_triangle_matches_single_steps_on_laplacians():
+def test_four_pivot_triangle_matches_single_steps():
     """Every entry of the triangle, which `_solve`, `_back` and `_adjugate`
-    read as multipliers, is the single-step elimination's, on Laplacians of
-    every n mod 3, where the passes end in tails of one to three single
-    steps."""
+    read as multipliers, is the single-step elimination's: on Laplacians of
+    every n mod 4, where the passes end in tails of zero to three single
+    steps, and on the matrices whose pass meets a zero pivot, whose rows are
+    then swapped as the reference swaps them."""
     rng = random.Random(1022)
     sizes = set()
     for _ in range(60):
@@ -265,8 +280,11 @@ def test_three_step_triangle_matches_single_steps_on_laplacians():
         ref = _single_step(a)
         assert symmetric and det == (ref[-1][-1] if ref else 1)
         assert [r[i:] for i, r in enumerate(tri)] == [r[i:] for i, r in enumerate(ref)]
-        sizes.add(len(a) % 3)
-    assert sizes == {0, 1, 2}
+        sizes.add(len(a) % 4)
+    assert sizes == {0, 1, 2, 3}
+    for rows, _, _ in _pass_zero_pivot_cases():
+        _, tri, _ = _eliminate([list(r) for r in rows])
+        assert [r[i:] for i, r in enumerate(tri)] == [r[i:] for i, r in enumerate(_single_step(rows))]
 
 
 def test_triangle_solve_matches_kernel_and_sympy():
