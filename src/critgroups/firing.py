@@ -35,7 +35,7 @@ def parse_configuration(text: str) -> list[int]:
 
 
 def format_configuration(c: Sequence[int]) -> str:
-    return ",".join(str(x) for x in c)
+    return ",".join(map(str, _ints(c, "chip count at vertex {}")))
 
 
 def fire(g: Multigraph, c: Sequence[int], v: int, times: int = 1) -> list[int]:

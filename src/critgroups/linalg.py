@@ -89,7 +89,7 @@ class IntMatrix:
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
     def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        return self.entries[_int(i, "i") * self.cols + _int(j, "j")]
 
     def to_rows(self) -> list[list[int]]:
         c = self.cols
@@ -105,7 +105,7 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, [sum(map(mul, r, c)) for r in self.to_rows() for c in cols])
 
     def mult_vector(self, vec: Sequence[int]) -> list[int]:
-        if len(vec) != self.cols:
+        if len(vec := _ints(vec, "vec entry {}")) != self.cols:
             raise ValueError(f"vector length {len(vec)} != cols {self.cols}")
         return [sum(map(mul, r, vec)) for r in self.to_rows()]
 

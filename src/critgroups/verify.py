@@ -418,8 +418,9 @@ def coprime_pair_search(
     multigraph samples, each with 2 to max_vertices vertices, where
     max_vertices is at most 200 (a sample draws for every vertex pair, and
     each graph is eliminated densely), and up to max_extra_edges edge bumps,
-    from 0 to 100,000; `trials` must not be negative. A count that is not
-    an integer, such as a float, is refused with a TypeError that names it.
+    from 0 to 100,000; `trials` must not be negative. A count or a seed
+    that is not an integer, such as a float, is refused with a TypeError
+    that names it.
     Exhaustive mode draws nothing, so it refuses a nonzero max_extra_edges
     or trials, or a seed, with a ValueError that names them.
 
@@ -449,6 +450,7 @@ def coprime_pair_search(
         trials = _int(trials, "trials")
         if trials < 0:
             raise ValueError(f"trials must be nonnegative for the random search, got {trials}")
+        seed = None if seed is None else _int(seed, "seed")
     params = {
         "max_vertices": max_vertices,
         "max_extra_edges": max_extra_edges,

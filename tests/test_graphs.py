@@ -359,6 +359,9 @@ def _stack_with_edge(ks, edge, mult):
     (lambda: smith_rows_mod(IntMatrix.identity(2), 1.0), "det is 1.0"),
     (lambda: solve_image_membership(IntMatrix.identity(2), [1.0, 0]), "b entry 0 is 1.0"),
     (lambda: QuadraticNumber(1, 1, 2) ** 2.0, "exponent is 2.0"),
+    (lambda: IntMatrix.identity(2).mult_vector([1.0, 0]), "vec entry 0 is 1.0"),
+    (lambda: IntMatrix.identity(2).at(0.0, 0), "i is 0.0"),
+    (lambda: IntMatrix.identity(2).at(0, 1.0), "j is 1.0"),
 ])
 def test_non_integers_are_refused(build, message):
     """Every count, vertex, multiplicity, chip and matrix entry goes through
